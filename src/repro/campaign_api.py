@@ -45,6 +45,7 @@ import time
 from dataclasses import InitVar, dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.config import check_engine
 from repro.errors import ConfigError
 from repro.fuzzer.fuzzer import FuzzStats
 from repro.fuzzer.triage import CrashDB
@@ -197,14 +198,8 @@ class CampaignSpec:
     ``use_seeds``    start from the Syzlang seed corpus (§6.1) or not.
     ``static_hints`` seed/prioritize scheduling hints from KIRA's static
                      reordering candidates (zero-execution analysis).
-    ``engine``       execution-engine tier for worker kernels: ``auto``
-                     (decoded closures + hot-function codegen
-                     promotion, the default), ``reference``,
-                     ``decoded``, or ``codegen``.
-    ``decoded_dispatch`` legacy boolean (pre-tier schema); ``False``
-                     folds into ``engine="reference"`` when the engine
-                     is left at ``auto``.  Kept normalized for old
-                     checkpoint readers.
+    ``engine``       execution engine for worker kernels: ``decoded``
+                     (the default) or ``reference``.
     ``snapshot_reset`` reuse one booted kernel per worker via the boot
                      snapshot; off = fresh boot per test.
     ``prefix_cache`` per-STI prefix snapshots so the MTI fan-out skips
@@ -240,8 +235,7 @@ class CampaignSpec:
     time_budget: Optional[float] = None
     use_seeds: bool = True
     static_hints: bool = False
-    engine: str = "auto"
-    decoded_dispatch: bool = True
+    engine: str = "decoded"
     snapshot_reset: bool = True
     prefix_cache: bool = True
     shard_timeout: Optional[float] = None
@@ -272,11 +266,7 @@ class CampaignSpec:
             max_retries=self.max_retries,
         )
         object.__setattr__(self, "patched", tuple(sorted(set(self.patched))))
-        from repro.engine import normalize_engine
-
-        engine = normalize_engine(self.engine, decoded_dispatch=self.decoded_dispatch)
-        object.__setattr__(self, "engine", engine)
-        object.__setattr__(self, "decoded_dispatch", engine != "reference")
+        check_engine(self.engine)
         object.__setattr__(
             self, "prefix_cache", self.prefix_cache and self.snapshot_reset
         )
@@ -453,7 +443,7 @@ class CampaignResult:
     failed_shards: Tuple[ShardFailure, ...] = field(default=(), compare=False)
     interrupted: bool = field(default=False, compare=False)
     # Execution-engine telemetry summed across worker processes (boots,
-    # resets, decode/codegen cache activity, tier promotions).  Workers
+    # resets, decode-cache activity, prefix-cache hits).  Workers
     # measure per-batch deltas, so multiprocess runs report real numbers
     # instead of the parent process's untouched module counters.
     engine_counters: Dict[str, int] = field(default_factory=dict, compare=False)
@@ -588,7 +578,6 @@ def spec_to_dict(spec: CampaignSpec) -> dict:
         "use_seeds": spec.use_seeds,
         "static_hints": spec.static_hints,
         "engine": spec.engine,
-        "decoded_dispatch": spec.decoded_dispatch,
         "snapshot_reset": spec.snapshot_reset,
         "prefix_cache": spec.prefix_cache,
         "checkpoint_dir": spec.checkpoint_dir,
@@ -602,9 +591,8 @@ def spec_to_dict(spec: CampaignSpec) -> dict:
 KNOWN_SPEC_KEYS = frozenset(
     {
         "iterations", "seed", "patched", "policy", "time_budget",
-        "use_seeds", "static_hints", "engine", "decoded_dispatch",
-        "snapshot_reset", "prefix_cache", "checkpoint_dir",
-        "checkpoint_every",
+        "use_seeds", "static_hints", "engine", "snapshot_reset",
+        "prefix_cache", "checkpoint_dir", "checkpoint_every",
         # schema v1 flat worker knobs
         "jobs", "batch_size", "shard_timeout", "max_retries",
     }
@@ -636,10 +624,7 @@ def spec_from_dict(sp: dict) -> CampaignSpec:
         time_budget=sp.get("time_budget"),
         use_seeds=sp.get("use_seeds", True),
         static_hints=sp.get("static_hints", False),
-        # Older payloads lack "engine"; decoded_dispatch=False then folds
-        # into the reference tier during spec normalization.
-        engine=sp.get("engine", "auto"),
-        decoded_dispatch=sp.get("decoded_dispatch", True),
+        engine=sp.get("engine", "decoded"),
         snapshot_reset=sp.get("snapshot_reset", True),
         prefix_cache=sp.get("prefix_cache", True),
         checkpoint_dir=sp.get("checkpoint_dir"),

@@ -41,19 +41,6 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         result = resume_campaign(args.resume)
         spec = result.spec
     else:
-        engine = args.engine
-        if args.reference_interp:
-            import warnings
-
-            warnings.warn(
-                "--reference-interp is deprecated; use --engine reference",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            # The shim only applies when --engine was left at its default;
-            # an explicit --engine always wins over the legacy flag.
-            if engine == "auto":
-                engine = "reference"
         policy = WorkerPolicy(
             jobs=args.jobs,
             batch_size=args.batch_size,
@@ -65,7 +52,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
             seed=args.seed,
             patched=tuple(args.patch or ()),
             static_hints=args.static_hints,
-            engine=engine,
+            engine=args.engine,
             snapshot_reset=not args.no_snapshot_reset,
             prefix_cache=not args.no_prefix_cache,
             checkpoint_dir=args.checkpoint_dir,
@@ -83,10 +70,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         c = result.engine_counters
         print(
             f"engine {spec.engine}: {c.get('boots', 0)} boots, "
-            f"{c.get('resets', 0)} resets, "
-            f"{c.get('promotions', 0)} promotions, "
-            f"codegen cache {c.get('codegen_cache_hits', 0)} hits / "
-            f"{c.get('codegen_cache_misses', 0)} misses"
+            f"{c.get('resets', 0)} resets"
         )
         print(
             f"prefix cache: {c.get('prefix_hits', 0)} hits, "
@@ -350,7 +334,7 @@ def cmd_docs(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from repro.engine import ENGINE_CHOICES
+    from repro.config import ENGINES
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -385,15 +369,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="write a replayable schedule artifact per unique crash to DIR",
     )
     p.add_argument(
-        "--engine", choices=ENGINE_CHOICES, default="auto",
-        help="execution engine tier: 'reference' (isinstance-chain "
-             "interpreter), 'decoded' (pre-decoded closures), 'codegen' "
-             "(compile every function to Python), or 'auto' (decoded "
-             "with hot-function promotion to codegen; default)",
-    )
-    p.add_argument(
-        "--reference-interp", action="store_true",
-        help="deprecated alias for --engine reference",
+        "--engine", choices=ENGINES, default="decoded",
+        help="execution engine: 'decoded' (pre-decoded closures; "
+             "default) or 'reference' (the isinstance-chain interpreter "
+             "the differential tests compare against)",
     )
     p.add_argument(
         "--no-snapshot-reset", action="store_true",

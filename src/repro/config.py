@@ -15,6 +15,17 @@ from typing import FrozenSet, Iterable, Optional, Tuple
 
 from repro.errors import ConfigError
 
+#: Every valid ``engine=`` value; the first is the default.
+ENGINES = ("decoded", "reference")
+
+
+def check_engine(engine: str) -> None:
+    """Reject an engine name outside :data:`ENGINES`."""
+    if engine not in ENGINES:
+        raise ConfigError(
+            f"unknown engine {engine!r} (choose from {', '.join(ENGINES)})"
+        )
+
 
 @dataclass(frozen=True)
 class KernelConfig:
@@ -34,17 +45,11 @@ class KernelConfig:
     ``sbitmap_manual_percpu``  the §6.2 "manual modification": force the
                       sbitmap per-CPU bug's threads to share one per-CPU
                       block even though they run on different CPUs.
-    ``engine``        execution-engine tier: ``"auto"`` (decoded
-                      closures with hot-function promotion to generated
-                      code, the default), ``"reference"`` (the
-                      ``isinstance`` interpreter), ``"decoded"`` (closure
-                      dispatch only), or ``"codegen"`` (compile every
-                      function up front).  All tiers are observably
-                      identical — the differential suites prove it.
-    ``decoded_dispatch``  legacy boolean from before the tier model;
-                      ``False`` folds into ``engine="reference"`` when
-                      the engine is left at ``auto``.  Kept normalized
-                      (``engine != "reference"``) for old readers.
+    ``engine``        execution engine: ``"decoded"`` (pre-decoded
+                      closures, the default) or ``"reference"`` (the
+                      ``isinstance`` interpreter, kept as the
+                      differential-test oracle).  Both are observably
+                      identical — the differential suite proves it.
     ``snapshot_reset``  capture a boot snapshot so :meth:`Kernel.reset`
                       can restore pristine state via dirty-page tracking
                       and the fuzzer can reuse one kernel per shard
@@ -66,19 +71,14 @@ class KernelConfig:
     strict_lint: bool = False
     ncpus: int = 2
     sbitmap_manual_percpu: bool = False
-    engine: str = "auto"
-    decoded_dispatch: bool = True
+    engine: str = "decoded"
     snapshot_reset: bool = True
     prefix_cache: bool = True
 
     def __post_init__(self) -> None:
         if self.ncpus < 1:
             raise ConfigError("need at least one CPU")
-        from repro.engine import normalize_engine
-
-        engine = normalize_engine(self.engine, decoded_dispatch=self.decoded_dispatch)
-        object.__setattr__(self, "engine", engine)
-        object.__setattr__(self, "decoded_dispatch", engine != "reference")
+        check_engine(self.engine)
         object.__setattr__(
             self, "prefix_cache", self.prefix_cache and self.snapshot_reset
         )

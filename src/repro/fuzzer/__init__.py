@@ -13,7 +13,6 @@ from repro.fuzzer.parallel import (
     merge_shards,
     run_batch,
     run_shard,
-    run_sharded,
 )
 from repro.fuzzer.reproducer import Reproducer
 from repro.fuzzer.sti import STI, Call, ResourceRef, STIResult, profile_sti
@@ -56,7 +55,6 @@ __all__ = [
     "run_batch",
     "run_mti",
     "run_shard",
-    "run_sharded",
     "seed_inputs",
     "templates",
 ]

@@ -31,9 +31,8 @@ in checkpoints.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Tuple
 
 from repro.config import KernelConfig
 from repro.fuzzer.fuzzer import FuzzStats, OzzFuzzer
@@ -205,26 +204,6 @@ def run_shard(
     return run_batch(
         spec, spec.batches()[shard], progress=progress, on_fuzzer=on_fuzzer
     )
-
-
-def run_sharded(spec: "CampaignSpec") -> List[ShardResult]:
-    """Deprecated: use :func:`repro.campaign_api.run_campaign`.
-
-    The pre-pool entrypoint, kept for one release as a shim.  It returns
-    the raw per-batch results; failed batches are omitted rather than
-    raising (use ``run_campaign`` to see the failure telemetry).
-    """
-    warnings.warn(
-        "run_sharded is deprecated; use repro.campaign_api.run_campaign",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    if not spec.supervised:
-        image, pool = campaign_pool(spec)
-        return [run_batch(spec, b, image=image, pool=pool) for b in spec.batches()]
-    from repro.fuzzer.supervisor import run_supervised_shards
-
-    return run_supervised_shards(spec).shards
 
 
 def merge_shards(

@@ -124,6 +124,9 @@ _HANG_SLEEP = 3600.0    # an injected hang sleeps until the supervisor kills it
 _SLOW_SLEEP = 1.0       # an injected slow batch stalls this long, then runs
 _FAULT_EXIT = 17        # exit code of an injected worker death
 
+#: How often an idle pool worker checks that its supervisor still lives.
+WORKER_POLL_SECS = 0.5
+
 #: Image pre-built by the supervisor parent so ``fork`` workers inherit
 #: it instead of each paying the build; keyed by the config-relevant
 #: spec fields so a stale image from an earlier campaign is never reused.
@@ -300,12 +303,25 @@ def _pool_worker_main(wid: int, spec: CampaignSpec, taskq, msgq) -> None:
     every batch this worker claims), and one booted kernel is held in a
     :class:`KernelPool` across batches; each batch's fuzzer resets it to
     the boot snapshot per test, which is equivalent to a fresh boot.
+
+    An idle worker checks every :data:`WORKER_POLL_SECS` that its
+    supervisor is still alive and exits once it is not, so a SIGKILLed
+    supervisor leaves no orphaned workers behind.
     """
     try:
         image = _inherited_image(spec)
         _, pool = campaign_pool(spec, image=image)
+        supervisor = mp.parent_process()
         while True:
-            task = taskq.get()
+            try:
+                task = taskq.get(timeout=WORKER_POLL_SECS)
+            except _queue.Empty:
+                if supervisor is not None and not supervisor.is_alive():
+                    # The supervisor was killed: nobody will read our
+                    # results, so do not wait to flush them either.
+                    msgq.cancel_join_thread()
+                    return
+                continue
             if task is None:
                 return
             batch, attempt, quarantined, faults = task
@@ -448,7 +464,11 @@ class CheckpointState:
     interrupted: bool = False
 
 
-def _atomic_write(path: str, text: str) -> None:
+def atomic_write(path: str, text: str) -> None:
+    """Replace ``path`` with ``text`` all at once: a reader (or a
+    restart after SIGKILL) sees the old file or the new one, never a
+    torn write.  Every checkpoint, registry and result file goes
+    through here."""
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
         fh.write(text)
@@ -481,7 +501,7 @@ def write_checkpoint(
     for shard in sorted(states):
         st = states[shard]
         if st.result is not None:
-            _atomic_write(
+            atomic_write(
                 _shard_file(dirpath, shard),
                 json.dumps(st.result.to_json_dict(), indent=2),
             )
@@ -492,7 +512,7 @@ def write_checkpoint(
             except OSError:
                 pass
         elif st.partial is not None:
-            _atomic_write(
+            atomic_write(
                 _shard_file(dirpath, shard, partial=True),
                 json.dumps(st.partial.to_json_dict(), indent=2),
             )
@@ -537,7 +557,7 @@ def write_checkpoint(
         ],
         "interrupted": interrupted,
     }
-    _atomic_write(os.path.join(dirpath, MANIFEST_NAME), json.dumps(manifest, indent=2))
+    atomic_write(os.path.join(dirpath, MANIFEST_NAME), json.dumps(manifest, indent=2))
     if sink.active:
         sink.emit(
             CheckpointWritten(

@@ -104,24 +104,12 @@ class KernelImage:
                 if not self.program.has_function(sc.func):
                     raise ConfigError(f"syscall {sc.name}: no function {sc.func}")
                 self.syscalls[sc.name] = sc
-        if config.decoded_dispatch:
+        if config.engine == "decoded":
             # Decode once at image-build time; every Kernel booted from
             # this image (all tests, all shards) shares the result.
             from repro.kir.decode import decode_program
 
             decode_program(self.program)
-        if config.engine == "codegen":
-            # Pre-warm the codegen tier: generate + compile every
-            # supported function now so the first kernel booted from
-            # this image only pays per-machine binding.  The ``auto``
-            # tier deliberately skips this — cold functions never pay
-            # generation cost there.
-            from repro.kir.codegen import prewarm_program
-
-            # Kernels always carry an OEMU (with_oemu=True), so only the
-            # oemu source variant is needed; per-insn ``instrumented``
-            # flags pick callback vs direct access inside it.
-            prewarm_program(self.program, oemu=True)
 
     def _assign_globals(self) -> None:
         cursor = DATA_BASE
@@ -167,7 +155,6 @@ class Kernel(Machine):
             profiler=profiler,
             kasan_enabled=image.config.kasan,
             trace=trace,
-            decoded_dispatch=image.config.decoded_dispatch,
             engine=image.config.engine,
         )
         self.image = image
@@ -246,14 +233,6 @@ class Kernel(Machine):
         ENGINE_COUNTERS.prefix_snapshots += 1
         self.engine_counters.prefix_snapshots += 1
         return snap
-
-    def credit_syscall(self, name: str, n: int = 1) -> None:
-        """Credit ``n`` skipped (snapshot-restored) runs of a syscall's
-        entry function toward hot-function promotion — see
-        :meth:`~repro.kir.interp.Interpreter.credit_entry`."""
-        if self.interp._promote_after is None:
-            return  # fixed tier: no promotion, skip the function lookup
-        self.interp.credit_entry(self.program.function(self._lookup(name).func), n)
 
     # -- data access convenience ---------------------------------------------
 

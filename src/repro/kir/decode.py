@@ -1,6 +1,6 @@
 """Pre-decoded closure dispatch — the KIR fast execution engine.
 
-The reference interpreter (:meth:`repro.kir.interp.Interpreter._execute`)
+The reference engine (:meth:`repro.kir.interp.Interpreter._execute`)
 walks a 10-way ``isinstance`` chain and re-examines every operand on
 every retired instruction.  This module removes both costs by splitting
 execution into three phases:
@@ -31,7 +31,7 @@ execution into three phases:
    are identical instruction-for-instruction (``tests/
    test_decode_differential.py`` asserts this, including event streams).
 
-``KernelConfig(decoded_dispatch=False)`` switches any kernel back to the
+``KernelConfig(engine="reference")`` switches any kernel back to the
 reference engine.
 """
 

@@ -75,8 +75,7 @@ class Machine:
         kasan_enabled: bool = True,
         track_deps: bool = False,
         trace: TraceSink = NULL_SINK,
-        decoded_dispatch: bool = True,
-        engine: Optional[str] = None,
+        engine: str = "decoded",
     ) -> None:
         self.program = program
         self.ncpus = ncpus
@@ -103,7 +102,7 @@ class Machine:
         #: report these (the module-global ENGINE_COUNTERS would silently
         #: drop increments made in worker processes).
         self.engine_counters = EngineCounters()
-        self.interp = Interpreter(self, decoded=decoded_dispatch, engine=engine)
+        self.interp = Interpreter(self, engine=engine)
         self.engine = self.interp.engine
         self._next_thread = 0
 

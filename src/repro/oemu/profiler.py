@@ -16,7 +16,7 @@ the same ordering boundaries OEMU enforces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, List, Optional, Tuple
 
 from repro.kir.insn import Annot, BarrierKind
@@ -159,29 +159,12 @@ class EngineCounters:
     dirty_pages_restored: int = 0
     functions_bound: int = 0
     decode_cache_hits: int = 0
-    promotions: int = 0
-    codegen_cache_hits: int = 0
-    codegen_cache_misses: int = 0
-    codegen_functions_bound: int = 0
     prefix_snapshots: int = 0
     prefix_hits: int = 0
     calls_skipped: int = 0
 
     def snapshot(self) -> Dict[str, int]:
-        return {
-            "boots": self.boots,
-            "resets": self.resets,
-            "dirty_pages_restored": self.dirty_pages_restored,
-            "functions_bound": self.functions_bound,
-            "decode_cache_hits": self.decode_cache_hits,
-            "promotions": self.promotions,
-            "codegen_cache_hits": self.codegen_cache_hits,
-            "codegen_cache_misses": self.codegen_cache_misses,
-            "codegen_functions_bound": self.codegen_functions_bound,
-            "prefix_snapshots": self.prefix_snapshots,
-            "prefix_hits": self.prefix_hits,
-            "calls_skipped": self.calls_skipped,
-        }
+        return asdict(self)
 
     def diff(self, baseline: Dict[str, int]) -> Dict[str, int]:
         """Counter deltas since ``baseline`` (an earlier ``snapshot()``).
@@ -200,18 +183,8 @@ class EngineCounters:
                 setattr(self, key, getattr(self, key) + value)
 
     def reset(self) -> None:
-        self.boots = 0
-        self.resets = 0
-        self.dirty_pages_restored = 0
-        self.functions_bound = 0
-        self.decode_cache_hits = 0
-        self.promotions = 0
-        self.codegen_cache_hits = 0
-        self.codegen_cache_misses = 0
-        self.codegen_functions_bound = 0
-        self.prefix_snapshots = 0
-        self.prefix_hits = 0
-        self.calls_skipped = 0
+        for f in fields(self):
+            setattr(self, f.name, 0)
 
 
 #: Module singleton, kept for in-process tooling (benchmarks, tests).

@@ -44,12 +44,17 @@ _CONTENT_TYPES = {
 #: Comment frame sent on an idle SSE stream so proxies keep it open.
 _SSE_KEEPALIVE_SECS = 15.0
 
+#: Largest request body the daemon reads; a bigger ``Content-Length``
+#: is answered 413 without reading the body.
+MAX_BODY_BYTES = 1 << 20
+
 _STATUS_TEXT = {
     200: "OK",
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
     409: "Conflict",
+    413: "Content Too Large",
     500: "Internal Server Error",
 }
 
@@ -97,6 +102,14 @@ def json_response(payload, status: int = 200) -> HttpResponse:
 
 def error_response(message: str, status: int) -> HttpResponse:
     return json_response({"error": message}, status=status)
+
+
+class RequestError(Exception):
+    """A request rejected while parsing, answered with ``status``."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
 
 
 class ServeApp:
@@ -328,13 +341,16 @@ class ServeApp:
         """One connection, one request (Connection: close)."""
         try:
             request = await _read_request(reader)
+        except RequestError as exc:
+            response = error_response(str(exc), exc.status)
         except (asyncio.IncompleteReadError, ConnectionError, ValueError):
             writer.close()
             return
-        try:
-            response = await self.dispatch(request)
-        except Exception as exc:  # a handler bug must not kill the daemon
-            response = error_response(f"internal error: {exc}", 500)
+        else:
+            try:
+                response = await self.dispatch(request)
+            except Exception as exc:  # a handler bug must not kill the daemon
+                response = error_response(f"internal error: {exc}", 500)
         try:
             await _write_response(writer, response)
         except (ConnectionError, asyncio.CancelledError):
@@ -370,7 +386,14 @@ async def _read_request(reader) -> HttpRequest:
             key, value = line.split(":", 1)
             headers[key.strip().lower()] = value.strip()
     body = b""
-    length = int(headers.get("content-length", "0") or "0")
+    raw = headers.get("content-length", "0") or "0"
+    if not (raw.isascii() and raw.isdigit()):
+        raise RequestError(400, f"bad Content-Length {raw!r}")
+    length = int(raw)
+    if length > MAX_BODY_BYTES:
+        raise RequestError(
+            413, f"request body of {length} bytes exceeds {MAX_BODY_BYTES}"
+        )
     if length:
         body = await reader.readexactly(length)
     parts = urlsplit(target)

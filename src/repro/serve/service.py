@@ -46,6 +46,13 @@ from repro.campaign_api import (
     validate_transition,
 )
 from repro.errors import ConfigError
+from repro.fuzzer.supervisor import (
+    MANIFEST_NAME,
+    CampaignController,
+    atomic_write,
+    load_checkpoint,
+    run_supervised,
+)
 
 REGISTRY_NAME = "service.json"
 REGISTRY_KIND = "ozz-serve-registry"
@@ -199,11 +206,10 @@ class CampaignService:
                 for cid in self._order
             ],
         }
-        path = os.path.join(self.state_dir, REGISTRY_NAME)
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump(payload, fh, indent=2)
-        os.replace(tmp, path)
+        atomic_write(
+            os.path.join(self.state_dir, REGISTRY_NAME),
+            json.dumps(payload, indent=2),
+        )
 
     def _load_registry(self) -> None:
         path = os.path.join(self.state_dir, REGISTRY_NAME)
@@ -391,13 +397,6 @@ class CampaignService:
 
     def _run(self, mc: ManagedCampaign) -> None:
         """Thread body: execute (or resume) one campaign to a settled state."""
-        from repro.fuzzer.supervisor import (
-            MANIFEST_NAME,
-            CampaignController,
-            load_checkpoint,
-            run_supervised,
-        )
-
         controller = CampaignController()
         with self._lock:
             mc.controller = controller
@@ -446,11 +445,7 @@ class CampaignService:
         self._tick()
 
     def _write_result(self, mc: ManagedCampaign, result: CampaignResult) -> None:
-        path = self.result_path(mc.id)
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
-            fh.write(result.to_json())
-        os.replace(tmp, path)
+        atomic_write(self.result_path(mc.id), result.to_json())
         if result.crashdb is not None:
             from repro.trace.replayer import dump_artifacts
 

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -208,6 +210,22 @@ class TestSupervisedFuzz:
     def test_fuzz_resume_missing_checkpoint_is_error(self, tmp_path, capsys):
         assert main(["fuzz", "--resume", str(tmp_path / "nope")]) == 2
         assert "checkpoint" in capsys.readouterr().err
+
+    def test_fuzz_resume_retired_engine_is_error(self, tmp_path, capsys):
+        """A checkpoint written when ``auto`` was an engine gets no
+        alias: resume fails cleanly with the unknown-engine message."""
+        d = tmp_path / "ckpt"
+        assert main(["fuzz", "--iterations", "2", "--jobs", "2",
+                     "--checkpoint-dir", str(d)]) == 0
+        capsys.readouterr()
+        manifest = d / "campaign.json"
+        payload = json.loads(manifest.read_text())
+        payload["spec"]["engine"] = "auto"
+        manifest.write_text(json.dumps(payload))
+        assert main(["fuzz", "--resume", str(d)]) == 2
+        err = capsys.readouterr().err
+        assert "unknown engine 'auto'" in err
+        assert "Traceback" not in err
 
     def test_fuzz_injected_death_recovers(self, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_INJECT_FAULT", "die:1:1")

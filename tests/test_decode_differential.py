@@ -1,12 +1,12 @@
-"""Differential tests: decoded dispatch vs the reference interpreter.
+"""Differential tests: decoded dispatch vs the reference engine.
 
-The decoded engine (`KernelConfig.decoded_dispatch`, default on) and the
+The decoded engine (`KernelConfig.engine`, the default) and the
 boot-snapshot reset (`snapshot_reset`) are pure optimizations — every
 observable (syscall return values, memory/shadow contents, profiler
-event streams, coverage, crash identity, ExecTrace event streams) must
-be identical to the reference isinstance-chain interpreter running on
-fresh-booted kernels.  These tests drive both engines over the same
-inputs and assert exactly that.
+event streams, coverage, crash identity, ExecTrace event streams, error
+messages and fuel/steps accounting) must be identical to the reference
+isinstance-chain engine running on fresh-booted kernels.  These tests
+drive both engines over the same inputs and assert exactly that.
 """
 
 import os
@@ -14,14 +14,17 @@ import os
 import pytest
 
 from repro.config import KernelConfig
+from repro.errors import ExecutionLimitExceeded, KirError
 from repro.fuzzer.fuzzer import OzzFuzzer
 from repro.fuzzer.mti import run_mti
-from repro.fuzzer.sti import profile_sti
+from repro.fuzzer.sti import profile_sti, resolve_args
 from repro.fuzzer.templates import seed_inputs
 from repro.kernel.kernel import Kernel, KernelImage
+from repro.kir import Builder
 from repro.kir.function import Program
 from repro.litmus.programs import standard_suite
 from repro.machine import Machine
+from repro.mem.memory import DATA_BASE
 from repro.oemu.instrument import instrument_program
 from repro.trace.recorder import TraceRecorder
 from repro.trace.replayer import CrashArtifact, replay_artifact
@@ -31,7 +34,7 @@ SAMPLE_CRASH = os.path.join(
 )
 
 DECODED = KernelConfig()  # engine optimizations are the defaults
-REFERENCE = KernelConfig(decoded_dispatch=False, snapshot_reset=False)
+REFERENCE = KernelConfig(engine="reference", snapshot_reset=False)
 
 
 @pytest.fixture(scope="module")
@@ -65,21 +68,24 @@ class TestSeedInputs:
                 assert p_dec.events == p_ref.events, (sti, p_dec.syscall)
 
     def test_memory_state_identical(self, decoded_image, reference_image):
-        """After each seed STI the kernels' memory worlds are equal."""
+        """After each seed STI, run on the unobserved fast path, the
+        kernels' retvals and memory/shadow worlds are equal."""
         for sti in seed_inputs():
-            kernels = [Kernel(decoded_image), Kernel(reference_image)]
-            for kernel in kernels:
+            worlds = []
+            for image in (decoded_image, reference_image):
+                kernel = Kernel(image)
                 retvals = []
                 for call in sti.calls:
-                    from repro.fuzzer.sti import resolve_args
-
                     retvals.append(
                         kernel.run_syscall(call.name, resolve_args(call, retvals))
                     )
-            dec, ref = kernels
-            assert dec.memory.fingerprint() == ref.memory.fingerprint(), sti
-            assert dec.shadow.fingerprint() == ref.shadow.fingerprint(), sti
-            assert dec.clock.now == ref.clock.now, sti
+                worlds.append((
+                    retvals,
+                    kernel.memory.fingerprint(),
+                    kernel.shadow.fingerprint(),
+                    kernel.clock.now,
+                ))
+            assert worlds[0] == worlds[1], sti
 
 
 class TestLitmus:
@@ -89,8 +95,8 @@ class TestLitmus:
         produces the same outcome tuple and final memory contents."""
         program, _ = instrument_program(Program(list(test.functions)))
 
-        def run(decoded):
-            m = Machine(program, ncpus=len(test.functions), decoded_dispatch=decoded)
+        def run(engine):
+            m = Machine(program, ncpus=len(test.functions), engine=engine)
             threads = [
                 m.spawn(f.name, cpu=idx) for idx, f in enumerate(test.functions)
             ]
@@ -104,8 +110,8 @@ class TestLitmus:
                         pending.remove(thread)
             return tuple(t.retval for t in threads), m.memory.fingerprint()
 
-        dec_outcome, dec_mem = run(True)
-        ref_outcome, ref_mem = run(False)
+        dec_outcome, dec_mem = run("decoded")
+        ref_outcome, ref_mem = run("reference")
         assert dec_outcome == ref_outcome
         assert dec_mem == ref_mem
         assert dec_outcome in test.allowed
@@ -135,22 +141,24 @@ class TestTracedMTI:
         assert rec_dec.schedule_dict()["events"] == rec_ref.schedule_dict()["events"]
 
     def test_sample_crash_replays_under_both_engines(self):
-        """PR 3's shipped artifact still replays byte-for-byte, decoded
-        (the artifact's own image — optimization defaults) and reference."""
+        """The shipped artifact replays byte-for-byte on its own image
+        (optimization defaults) and on a fresh-boot image of each engine
+        (replay verdicts diff the full event schedule)."""
         artifact = CrashArtifact.load(SAMPLE_CRASH)
-        decoded = replay_artifact(artifact)
-        assert decoded.ok, decoded.render()
-        reference = replay_artifact(
-            artifact,
-            image=KernelImage(
-                KernelConfig(
-                    patched=frozenset(artifact.reproducer.patched),
-                    decoded_dispatch=False,
-                    snapshot_reset=False,
-                )
-            ),
-        )
-        assert reference.ok, reference.render()
+        default = replay_artifact(artifact)
+        assert default.ok, default.render()
+        for engine in ("decoded", "reference"):
+            verdict = replay_artifact(
+                artifact,
+                image=KernelImage(
+                    KernelConfig(
+                        patched=frozenset(artifact.reproducer.patched),
+                        engine=engine,
+                        snapshot_reset=False,
+                    )
+                ),
+            )
+            assert verdict.ok, (engine, verdict.render())
 
 
 class TestCampaign:
@@ -166,3 +174,58 @@ class TestCampaign:
         assert dec_stats == ref_stats
         assert dec_titles == ref_titles
         assert dec_stats.tests_run > 0
+
+
+def _loop_program() -> Program:
+    b = Builder("spin", params=["n"])
+    i = b.mov(0)
+    acc = b.mov(0)
+    top = b.label()
+    b.bind(top)
+    b.store(DATA_BASE, 0, i)
+    v = b.load(DATA_BASE, 0)
+    b.add(acc, v, dst=acc)
+    b.add(i, 1, dst=i)
+    b.blt(i, b.reg("n"), top)
+    b.ret(acc)
+    return Program([b.function()])
+
+
+class TestErrorParity:
+    """Exceptions escaping the decoded run loop must match the reference
+    byte-for-byte: type, message, and fuel/steps at the throw point."""
+
+    def _both(self, program, entry, *, args=(), fuel=10**9):
+        outcomes = []
+        for engine in ("decoded", "reference"):
+            m = Machine(program, engine=engine)
+            thread = m.interp.spawn(entry, args, fuel=fuel)
+            try:
+                m.interp.run(thread)
+                outcome = ("ok", thread.retval)
+            except (KirError, ExecutionLimitExceeded) as exc:
+                outcome = (type(exc).__name__, str(exc))
+            outcomes.append((outcome, thread.steps, thread.fuel))
+        dec, ref = outcomes
+        assert dec == ref
+        return dec[0]
+
+    def test_fuel_exhaustion_identical(self):
+        kind, _ = self._both(_loop_program(), "spin", args=(10**9,), fuel=500)
+        assert kind == "ExecutionLimitExceeded"
+
+    def test_undefined_register_identical(self):
+        b = Builder("oops")
+        b.add(b.reg("ghost"), 1, dst=b.reg("x"))
+        b.ret(b.reg("x"))
+        kind, message = self._both(Program([b.function()]), "oops")
+        assert kind == "KirError"
+        assert "register %ghost undefined" in message
+
+    def test_unknown_helper_identical(self):
+        b = Builder("callout")
+        b.helper("no_such_helper", 1, dst=b.reg("r"))
+        b.ret(b.reg("r"))
+        kind, message = self._both(Program([b.function()]), "callout")
+        assert kind == "KirError"
+        assert "unknown helper" in message

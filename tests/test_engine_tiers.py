@@ -1,22 +1,16 @@
-"""Unit tests for the engine-tier model and its counter telemetry.
+"""Unit tests for the engine selection and its counter telemetry.
 
-Covers :mod:`repro.engine` (normalization, resolution, promotion
-thresholds), the machine-level pinning rules (deps trackers force the
-reference tier), promotion counter accounting, and the engine /
-engine_counters round-trips through :class:`KernelConfig`,
-:class:`CampaignSpec`, checkpoint shard payloads and campaign JSON.
+Covers engine validation (exactly ``decoded`` and ``reference``), the
+machine-level pinning rule (a deps tracker forces the reference
+engine), and the engine / engine_counters round-trips through
+:class:`KernelConfig`, :class:`CampaignSpec`, checkpoint shard payloads
+and campaign JSON.
 """
 
 import pytest
 
 from repro.campaign_api import CampaignResult, CampaignSpec, run_campaign
-from repro.config import KernelConfig
-from repro.engine import (
-    ENGINE_CHOICES,
-    PROMOTE_AFTER,
-    EngineTier,
-    normalize_engine,
-)
+from repro.config import ENGINES, KernelConfig, check_engine
 from repro.errors import ConfigError
 from repro.fuzzer.fuzzer import FuzzStats
 from repro.fuzzer.kcov import CoverageMap
@@ -44,76 +38,39 @@ def _loop_program() -> Program:
 
 
 class TestNormalization:
-    def test_none_defaults_to_auto(self):
-        assert normalize_engine(None) == "auto"
+    def test_default_is_decoded(self):
+        assert ENGINES == ("decoded", "reference")
+        assert KernelConfig().engine == "decoded"
+        assert CampaignSpec(iterations=1).engine == "decoded"
+        assert Machine(_loop_program()).engine == "decoded"
 
     def test_unknown_engine_rejected(self):
+        # "auto" was the default engine once; it gets no alias.
+        for engine in ("turbo", "auto", None):
+            with pytest.raises(ConfigError, match="unknown engine"):
+                check_engine(engine)
         with pytest.raises(ConfigError, match="unknown engine"):
-            normalize_engine("turbo")
-
-    def test_legacy_flag_folds_into_auto_only(self):
-        # decoded_dispatch=False predates tiers and means "reference"...
-        assert normalize_engine("auto", decoded_dispatch=False) == "reference"
-        assert normalize_engine(None, decoded_dispatch=False) == "reference"
-        # ...but an explicit tier choice always wins over the legacy flag.
-        assert normalize_engine("codegen", decoded_dispatch=False) == "codegen"
-        assert normalize_engine("decoded", decoded_dispatch=False) == "decoded"
+            Machine(_loop_program(), engine="auto")
 
 
 class TestResolution:
     def test_pin_reference_overrides_requested(self):
-        tier = EngineTier.resolve("codegen", pin_reference=True)
-        assert tier.requested == "codegen"
-        assert tier.active == "reference"
-        assert not tier.uses_decode
-        assert tier.promote_threshold is None
-
-    @pytest.mark.parametrize(
-        "engine,threshold",
-        [("reference", None), ("decoded", None),
-         ("auto", PROMOTE_AFTER), ("codegen", 1)],
-    )
-    def test_promote_thresholds(self, engine, threshold):
-        assert EngineTier.resolve(engine).promote_threshold == threshold
+        m = Machine(_loop_program(), track_deps=True, engine="decoded")
+        assert m.engine == "reference"
+        assert m.interp._codes is None  # no decode tables built
 
     def test_deps_machine_pins_to_reference(self):
-        """Dependency tracking only exists on the reference tier; a
+        """Dependency tracking only exists on the reference engine; a
         machine with a tracker must pin there whatever was asked for,
         and still compute the same results."""
         outcomes = {}
-        for engine in ENGINE_CHOICES:
+        for engine in ENGINES:
             m = Machine(_loop_program(), track_deps=True, engine=engine)
-            assert m.interp.tier.requested == normalize_engine(engine)
-            assert m.interp.tier.active == "reference"
+            assert m.interp.engine == "reference"
             thread = m.interp.spawn("spin", (50,))
             m.interp.run(thread)
             outcomes[engine] = thread.retval
         assert set(outcomes.values()) == {sum(range(50))}
-
-
-class TestPromotion:
-    def test_auto_promotes_after_threshold(self):
-        m = Machine(_loop_program(), engine="auto")
-        for run in range(PROMOTE_AFTER + 2):
-            thread = m.interp.spawn("spin", (10,), thread_id=run)
-            m.interp.run(thread)
-            assert thread.retval == sum(range(10))
-        assert m.engine_counters.promotions == 1
-        assert m.engine_counters.codegen_functions_bound == 1
-
-    def test_decoded_never_promotes(self):
-        m = Machine(_loop_program(), engine="decoded")
-        for run in range(PROMOTE_AFTER + 2):
-            thread = m.interp.spawn("spin", (10,), thread_id=run)
-            m.interp.run(thread)
-        assert m.engine_counters.promotions == 0
-        assert m.engine_counters.codegen_functions_bound == 0
-
-    def test_codegen_promotes_on_first_entry(self):
-        m = Machine(_loop_program(), engine="codegen")
-        thread = m.interp.spawn("spin", (10,))
-        m.interp.run(thread)
-        assert m.engine_counters.promotions == 1
 
 
 class TestCounters:
@@ -121,46 +78,41 @@ class TestCounters:
         c = EngineCounters()
         base = c.snapshot()
         c.boots += 2
-        c.promotions += 1
+        c.prefix_hits += 1
         delta = c.diff(base)
         assert delta["boots"] == 2
-        assert delta["promotions"] == 1
+        assert delta["prefix_hits"] == 1
         assert delta["resets"] == 0
 
     def test_merge_sums_fields(self):
         a = EngineCounters()
-        a.codegen_cache_hits = 3
-        a.merge({"codegen_cache_hits": 4, "resets": 1, "not_a_field": 9})
-        assert a.codegen_cache_hits == 7
+        a.decode_cache_hits = 3
+        a.merge({"decode_cache_hits": 4, "resets": 1, "not_a_field": 9})
+        assert a.decode_cache_hits == 7
         assert a.resets == 1
+        a.reset()
+        assert set(a.snapshot().values()) == {0}
 
 
 class TestConfigRoundTrip:
     def test_kernel_config_normalizes_engine(self):
-        assert KernelConfig().engine == "auto"
-        assert KernelConfig(engine="codegen").decoded_dispatch is True
-        legacy = KernelConfig(decoded_dispatch=False)
-        assert legacy.engine == "reference"
-        assert legacy.decoded_dispatch is False
+        assert KernelConfig(engine="reference").engine == "reference"
         with pytest.raises(ConfigError, match="unknown engine"):
             KernelConfig(engine="turbo")
 
     def test_campaign_spec_normalizes_engine(self):
-        assert CampaignSpec(iterations=1).engine == "auto"
-        legacy = CampaignSpec(iterations=1, decoded_dispatch=False)
-        assert legacy.engine == "reference"
-        explicit = CampaignSpec(iterations=1, engine="codegen")
-        assert explicit.engine == "codegen"
-        assert explicit.decoded_dispatch is True
+        assert CampaignSpec(iterations=1, engine="reference").engine == "reference"
+        with pytest.raises(ConfigError, match="unknown engine"):
+            CampaignSpec(iterations=1, engine="auto")
 
     def test_shard_result_counters_round_trip(self):
         shard = ShardResult(
             shard=0, seed=1, iterations=2, stats=FuzzStats(),
             crashdb=CrashDB(), coverage=CoverageMap(), seconds=0.1,
-            engine_counters={"boots": 1, "promotions": 3},
+            engine_counters={"boots": 1, "prefix_hits": 3},
         )
         back = ShardResult.from_json_dict(shard.to_json_dict())
-        assert back.engine_counters == {"boots": 1, "promotions": 3}
+        assert back.engine_counters == {"boots": 1, "prefix_hits": 3}
 
     def test_shard_result_reads_legacy_payload(self):
         """Pre-tier checkpoints have no engine_counters key."""
@@ -175,16 +127,16 @@ class TestConfigRoundTrip:
     def test_supervised_campaign_ships_worker_counters(self):
         """jobs>1 routes results through the worker-pool message queue;
         the wire payload must carry each batch's counter deltas."""
-        spec = CampaignSpec(iterations=4, seed=3, engine="auto", jobs=2)
+        spec = CampaignSpec(iterations=4, seed=3, engine="decoded", jobs=2)
         result = run_campaign(spec)
         assert result.engine_counters.get("boots", 0) > 0
         assert result.engine_counters.get("resets", 0) > 0
 
     def test_campaign_result_json_round_trip(self):
-        spec = CampaignSpec(iterations=2, seed=5, engine="codegen")
+        spec = CampaignSpec(iterations=2, seed=5, engine="reference")
         result = run_campaign(spec)
-        assert result.spec.engine == "codegen"
-        assert result.engine_counters.get("promotions", 0) > 0
+        assert result.spec.engine == "reference"
+        assert result.engine_counters.get("boots", 0) > 0
         back = CampaignResult.from_json(result.to_json())
-        assert back.spec.engine == "codegen"
+        assert back.spec.engine == "reference"
         assert back.engine_counters == result.engine_counters

@@ -3,7 +3,7 @@
 The prefix cache's contract is the same as the boot snapshot's, one
 level up: a kernel positioned by *restoring* a prefix snapshot must be
 byte-identical to one that *executed* the prefix fresh after boot — in
-every observable, under every engine tier — so cached and uncached
+every observable, under both engines — so cached and uncached
 campaigns produce equal results while the cached one skips the repeated
 sequential prefix work.
 """
@@ -43,7 +43,7 @@ SAMPLE_CRASH = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "..", "examples", "sample_crash.json"
 )
 
-TIERS = ("reference", "decoded", "codegen")
+TIERS = ("reference", "decoded")
 
 
 @pytest.fixture(scope="module")

@@ -35,7 +35,7 @@ from repro.campaign_api import (
 )
 from repro.errors import ConfigError
 from repro.fuzzer.supervisor import MANIFEST_NAME
-from repro.serve.app import HttpRequest, ServeApp
+from repro.serve.app import MAX_BODY_BYTES, HttpRequest, ServeApp
 from repro.serve.routes import ROUTES, match_route
 from repro.serve.service import CampaignService
 
@@ -55,6 +55,38 @@ def dispatch(app, method, path, body=None, query=None):
         method=method, path=path, query=query or {}, body=payload
     )
     return asyncio.run(app.dispatch(request))
+
+
+class _BufferWriter:
+    """The slice of ``asyncio.StreamWriter`` the socket shell uses."""
+
+    def __init__(self):
+        self.data = b""
+
+    def write(self, chunk):
+        self.data += chunk
+
+    async def drain(self):
+        pass
+
+    def close(self):
+        pass
+
+
+def raw_exchange(app, raw):
+    """Run raw request bytes through the socket shell (no socket):
+    returns ``(status, decoded JSON body)``."""
+
+    async def go():
+        reader = asyncio.StreamReader()
+        reader.feed_data(raw)
+        reader.feed_eof()
+        writer = _BufferWriter()
+        await app.handle_connection(reader, writer)
+        return writer.data
+
+    head, _, body = asyncio.run(go()).partition(b"\r\n\r\n")
+    return int(head.split(b" ")[1]), json.loads(body)
 
 
 def _strip_seconds(node):
@@ -307,6 +339,32 @@ class TestApi:
         )
         assert owned.status == 400
         assert "service-owned" in owned.json()["error"]
+
+    def test_oversized_body_413(self, served):
+        _svc, app, _cid = served
+        head = b"POST /api/campaigns HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+        status, body = raw_exchange(app, head % (MAX_BODY_BYTES + 1))
+        assert status == 413
+        assert "exceeds" in body["error"]
+        # Exactly at the cap the body is read and judged on its content.
+        at_cap = head % MAX_BODY_BYTES + b"x" * MAX_BODY_BYTES
+        status, body = raw_exchange(app, at_cap)
+        assert status == 400
+        assert "not valid JSON" in body["error"]
+
+    def test_bad_content_length_400(self, served):
+        _svc, app, _cid = served
+        for length in (b"-5", b"abc", b"1.5", b"0x10"):
+            status, body = raw_exchange(
+                app,
+                b"POST /api/campaigns HTTP/1.1\r\nContent-Length: "
+                + length + b"\r\n\r\n{}",
+            )
+            assert status == 400, length
+            assert "Content-Length" in body["error"]
+        status, body = raw_exchange(app, b"GET /api/health HTTP/1.1\r\n\r\n")
+        assert status == 200
+        assert body["status"] == "ok"
 
     def test_illegal_transition_409(self, served):
         _svc, app, cid = served

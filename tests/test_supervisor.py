@@ -248,6 +248,60 @@ class TestInterruption:
         state = load_checkpoint(d)
         assert state.interrupted
 
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+    def test_sigkilled_supervisor_leaves_no_workers(self):
+        """Pool workers notice their supervisor is gone and exit, so a
+        SIGKILL (which runs no cleanup) leaves no orphaned processes."""
+        script = textwrap.dedent(
+            """
+            import multiprocessing as mp, threading, time
+            from repro.campaign_api import CampaignSpec, run_campaign
+
+            spec = CampaignSpec(iterations=100_000, jobs=2, batch_size=2)
+            threading.Thread(target=run_campaign, args=(spec,), daemon=True).start()
+            deadline = time.monotonic() + 60
+            while len(mp.active_children()) < 2 and time.monotonic() < deadline:
+                time.sleep(0.05)
+            print(*(p.pid for p in mp.active_children()), flush=True)
+            time.sleep(600)
+            """
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [os.path.abspath("src"), env.get("PYTHONPATH")])
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script],
+            stdout=subprocess.PIPE,
+            env=env,
+            text=True,
+        )
+
+        def running(pid):
+            try:
+                with open(f"/proc/{pid}/stat") as fh:
+                    return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+            except FileNotFoundError:
+                return False
+
+        workers = []
+        try:
+            workers = [int(pid) for pid in proc.stdout.readline().split()]
+            assert len(workers) == 2, workers
+            time.sleep(0.5)  # let the workers claim batches
+            proc.kill()
+            proc.wait(timeout=10)
+            deadline = time.monotonic() + 10
+            while any(running(pid) for pid in workers):
+                assert time.monotonic() < deadline, "workers outlived supervisor"
+                time.sleep(0.1)
+        finally:
+            proc.kill()
+            proc.wait(timeout=10)
+            proc.stdout.close()
+            for pid in filter(running, workers):
+                os.kill(pid, signal.SIGKILL)
+
 
 class TestFaultPlumbing:
     def test_faults_from_env_parsing(self):

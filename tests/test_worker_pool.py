@@ -4,7 +4,7 @@ Complements ``test_supervisor.py`` (fault tolerance under the legacy
 one-batch-per-job plan) with the worker-pool surface this PR added:
 explicit batch plans shared across job counts, work-stealing under slow
 and dead workers, the ``WorkerPolicy`` sub-config, checkpoint schema v2
-with the v1 reader, and the ``run_sharded`` deprecation shim.
+with the v1 reader.
 """
 
 import json
@@ -24,7 +24,7 @@ from repro.campaign_api import (
     spec_to_dict,
 )
 from repro.errors import ConfigError
-from repro.fuzzer.parallel import merge_shards, run_shard, run_sharded
+from repro.fuzzer.parallel import merge_shards, run_shard
 from repro.fuzzer.supervisor import (
     MANIFEST_NAME,
     FaultPlan,
@@ -265,12 +265,3 @@ class TestManifestV2:
         assert ran == {b.index for b in plan}
         assert all(a["attempt"] == 0 for a in manifest["assignments"])
 
-
-class TestDeprecationShim:
-    def test_run_sharded_warns_and_matches_run_campaign(self):
-        spec = CampaignSpec(iterations=6, jobs=2, use_seeds=True)
-        with pytest.warns(DeprecationWarning, match="run_campaign"):
-            old = run_sharded(spec)
-        # The shim returns raw per-batch results; merged they are the
-        # same campaign run_campaign produces.
-        assert merge_shards(spec, old, seconds=0.0) == run_campaign(spec)
