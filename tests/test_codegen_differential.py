@@ -1,20 +1,20 @@
-"""Differential tests: the codegen tier vs decoded vs the reference.
+"""Differential tests parametrized over every engine: each engine vs the
+reference.
 
-PR 4's differential suite (``test_decode_differential.py``) proved the
-decoded closures observationally equal to the reference interpreter.
-This suite extends the same guarantee to the codegen tier: compiled
-functions must produce byte-identical observables — syscall return
-values, memory/shadow fingerprints, litmus outcomes, campaign stats,
-crash identity, replay verdicts, fuel/steps accounting and error
-messages — under every engine tier.  Anything less and the tier model
-is not a pure optimization.
+``test_decode_differential.py`` compares the decoded engine against the
+reference on profiler events, coverage and ExecTrace streams.  This
+suite runs the same inputs under every value of ``KernelConfig.engine``
+(see :data:`repro.config.ENGINES`) and asserts byte-identical
+observables against the reference engine: syscall return values,
+memory/shadow fingerprints, litmus outcomes, campaign stats, crash
+identity, replay verdicts, fuel/steps accounting and error messages.
 """
 
 import os
 
 import pytest
 
-from repro.config import KernelConfig
+from repro.config import ENGINES, KernelConfig
 from repro.errors import ExecutionLimitExceeded, KirError
 from repro.fuzzer.fuzzer import OzzFuzzer
 from repro.fuzzer.sti import resolve_args
@@ -32,16 +32,12 @@ SAMPLE_CRASH = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "..", "examples", "sample_crash.json"
 )
 
-#: The three tiers under test; ``auto`` is decoded+promotion and is
-#: covered by the engine-tier unit tests and the e2e benchmark.
-TIERS = ("reference", "decoded", "codegen")
-
 
 @pytest.fixture(scope="module")
 def images():
     return {
-        tier: KernelImage(KernelConfig(engine=tier, snapshot_reset=False))
-        for tier in TIERS
+        engine: KernelImage(KernelConfig(engine=engine, snapshot_reset=False))
+        for engine in ENGINES
     }
 
 
@@ -62,50 +58,37 @@ def _loop_program() -> Program:
 
 class TestSeedInputs:
     def test_syscall_observables_identical(self, images):
-        """Every seed STI, run to completion on the unobserved fast path
-        (where codegen actually engages): same retvals, memory world,
-        shadow world and clock under all three tiers."""
+        """Every seed STI, run to completion on the unobserved fast path:
+        same retvals, memory world, shadow world and clock under every
+        engine."""
         for sti in seed_inputs():
             worlds = {}
-            for tier in TIERS:
-                kernel = Kernel(images[tier])
+            for engine in ENGINES:
+                kernel = Kernel(images[engine])
                 retvals = []
                 for call in sti.calls:
                     retvals.append(
                         kernel.run_syscall(call.name, resolve_args(call, retvals))
                     )
-                worlds[tier] = (
+                worlds[engine] = (
                     tuple(retvals),
                     kernel.memory.fingerprint(),
                     kernel.shadow.fingerprint(),
                     kernel.clock.now,
                 )
-            assert worlds["decoded"] == worlds["reference"], sti
-            assert worlds["codegen"] == worlds["reference"], sti
-
-    def test_codegen_tier_actually_compiled(self, images):
-        """The parity above must not be vacuous: the codegen kernel
-        promotes (binds compiled functions) while running the STIs."""
-        kernel = Kernel(images["codegen"])
-        for sti in seed_inputs():
-            retvals = []
-            for call in sti.calls:
-                retvals.append(
-                    kernel.run_syscall(call.name, resolve_args(call, retvals))
-                )
-        assert kernel.engine_counters.promotions > 0
-        assert kernel.engine_counters.codegen_functions_bound > 0
+            for engine in ENGINES:
+                assert worlds[engine] == worlds["reference"], (engine, sti)
 
 
 class TestLitmus:
     @pytest.mark.parametrize("test", standard_suite(), ids=lambda t: t.name)
     def test_round_robin_outcomes_identical(self, test):
-        """Each litmus program, stepped round-robin under every tier,
+        """Each litmus program, stepped round-robin under every engine,
         produces the same outcome tuple and final memory contents."""
         program, _ = instrument_program(KirProgram(list(test.functions)))
 
-        def run(tier):
-            m = Machine(program, ncpus=len(test.functions), engine=tier)
+        def run(engine):
+            m = Machine(program, ncpus=len(test.functions), engine=engine)
             threads = [
                 m.spawn(f.name, cpu=idx) for idx, f in enumerate(test.functions)
             ]
@@ -119,16 +102,16 @@ class TestLitmus:
                         pending.remove(thread)
             return tuple(t.retval for t in threads), m.memory.fingerprint()
 
-        outcomes = {tier: run(tier) for tier in TIERS}
-        assert outcomes["decoded"] == outcomes["reference"]
-        assert outcomes["codegen"] == outcomes["reference"]
+        outcomes = {engine: run(engine) for engine in ENGINES}
+        for engine in ENGINES:
+            assert outcomes[engine] == outcomes["reference"], engine
         assert outcomes["reference"][0] in test.allowed
 
 
 class TestReplay:
-    @pytest.mark.parametrize("tier", TIERS)
-    def test_sample_crash_replays_under_every_tier(self, tier):
-        """The shipped artifact replays byte-for-byte whichever tier the
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_sample_crash_replays_under_every_tier(self, engine):
+        """The shipped artifact replays byte-for-byte whichever engine the
         replay image is built with (replay verdicts diff the full event
         schedule, so ``ok`` means byte-identical)."""
         artifact = CrashArtifact.load(SAMPLE_CRASH)
@@ -137,34 +120,35 @@ class TestReplay:
             image=KernelImage(
                 KernelConfig(
                     patched=frozenset(artifact.reproducer.patched),
-                    engine=tier,
+                    engine=engine,
                     snapshot_reset=False,
                 )
             ),
         )
-        assert verdict.ok, (tier, verdict.render())
+        assert verdict.ok, (engine, verdict.render())
 
 
 class TestCampaign:
     def test_stats_and_crashes_identical(self):
-        """Same seed, same iteration count: every tier's campaign is
-        observationally equal to the reference tier's."""
+        """Same seed, same iteration count: every engine's campaign is
+        observationally equal to the reference engine's."""
         results = {}
-        for tier in TIERS:
-            fuzzer = OzzFuzzer(KernelImage(KernelConfig(engine=tier)), seed=11)
+        for engine in ENGINES:
+            fuzzer = OzzFuzzer(KernelImage(KernelConfig(engine=engine)), seed=11)
             stats = fuzzer.run(30)
-            results[tier] = (stats, frozenset(fuzzer.crashdb.unique_titles))
-        assert results["decoded"] == results["reference"]
-        assert results["codegen"] == results["reference"]
+            results[engine] = (stats, frozenset(fuzzer.crashdb.unique_titles))
+        for engine in ENGINES:
+            assert results[engine] == results["reference"], engine
         assert results["reference"][0].tests_run > 0
 
 
 class TestErrorParity:
-    """Exceptions escaping generated code must match the reference
-    byte-for-byte: type, message, and fuel/steps at the throw point."""
+    """Exceptions escaping each engine's run loop must match the
+    reference byte-for-byte: type, message, and fuel/steps at the throw
+    point."""
 
-    def _run(self, program, entry, tier, *, args=(), fuel=10**9):
-        m = Machine(program, engine=tier)
+    def _run(self, program, entry, engine, *, args=(), fuel=10**9):
+        m = Machine(program, engine=engine)
         thread = m.interp.spawn(entry, args, fuel=fuel)
         try:
             m.interp.run(thread)
@@ -173,33 +157,33 @@ class TestErrorParity:
             outcome = (type(exc).__name__, str(exc))
         return outcome, thread.steps, thread.fuel
 
-    @pytest.mark.parametrize("tier", TIERS)
-    def test_fuel_exhaustion_identical(self, tier):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_fuel_exhaustion_identical(self, engine):
         ref = self._run(_loop_program(), "spin", "reference", args=(10**9,), fuel=500)
-        got = self._run(_loop_program(), "spin", tier, args=(10**9,), fuel=500)
+        got = self._run(_loop_program(), "spin", engine, args=(10**9,), fuel=500)
         assert got == ref
         assert got[0][0] == "ExecutionLimitExceeded"
 
-    @pytest.mark.parametrize("tier", TIERS)
-    def test_undefined_register_identical(self, tier):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_undefined_register_identical(self, engine):
         b = Builder("oops")
         b.add(b.reg("ghost"), 1, dst=b.reg("x"))
         b.ret(b.reg("x"))
         program = Program([b.function()])
         ref = self._run(program, "oops", "reference")
-        got = self._run(program, "oops", tier)
+        got = self._run(program, "oops", engine)
         assert got == ref
         assert got[0][0] == "KirError"
         assert "register %ghost undefined" in got[0][1]
 
-    @pytest.mark.parametrize("tier", TIERS)
-    def test_unknown_helper_identical(self, tier):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_unknown_helper_identical(self, engine):
         b = Builder("callout")
         b.helper("no_such_helper", 1, dst=b.reg("r"))
         b.ret(b.reg("r"))
         program = Program([b.function()])
         ref = self._run(program, "callout", "reference")
-        got = self._run(program, "callout", tier)
+        got = self._run(program, "callout", engine)
         assert got == ref
         assert got[0][0] == "KirError"
         assert "unknown helper" in got[0][1]
