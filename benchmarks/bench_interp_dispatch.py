@@ -19,6 +19,14 @@ is external):
    campaigns must also be *equivalent*: identical :class:`FuzzStats`
    and identical crash-title sets, asserted every round.
 
+3. **Observed path** — the campaign benchmark's fuel-exhausting STI
+   (``socket; tls_init; tls_init; setsockopt``, a self-recursive
+   ``tls_setsockopt``) profiled by ``profile_sti`` with kcov and the
+   access/barrier profiler attached, decoded vs reference engine.  This
+   is the observed-but-untraced path every STI profile takes; every
+   round asserts the two engines' identical crash title (the 200k-fuel
+   ``HANG:``), coverage, return values and per-call profile events.
+
 Results land in ``benchmarks/artifacts/interp_dispatch.json`` together
 with an :data:`ENGINE_COUNTERS` snapshot (boots vs resets proves the
 snapshot path actually carried the optimized campaign).
@@ -26,7 +34,8 @@ snapshot path actually carried the optimized campaign).
 Run standalone (``python benchmarks/bench_interp_dispatch.py [--quick]``)
 or under pytest, where the collected test enforces the CI floor:
 every ratio must stay above 1.0 (no optimization may lose to the
-configuration without it).
+configuration without it).  The observed-path arm has no target beyond
+that floor.
 """
 
 from __future__ import annotations
@@ -38,6 +47,7 @@ import time
 
 from repro.config import KernelConfig
 from repro.fuzzer.fuzzer import OzzFuzzer
+from repro.fuzzer.sti import STI, Call, ResourceRef, profile_sti
 from repro.kernel.kernel import KernelImage
 from repro.kir import Builder, Program
 from repro.machine import Machine
@@ -52,7 +62,17 @@ MICRO_ITERS = 20_000   # 5 instructions per loop iteration
 MICRO_ROUNDS = 7
 E2E_ITERS = 150        # fuzz_one calls per campaign
 E2E_ROUNDS = 9
+OBSERVED_ROUNDS = 5
 SEED = 7
+
+#: The fuel-exhausting STI of the campaign benchmark's hang workload.
+HANG_STI = STI((
+    Call("socket"),
+    Call("tls_init", (ResourceRef(0),)),
+    Call("tls_init", (ResourceRef(0),)),
+    Call("setsockopt", (ResourceRef(0),)),
+))
+HANG_TITLE = "HANG: setsockopt exceeded its fuel budget"
 
 #: CI floor — no optimization may lose to the configuration without it.
 FLOOR = 1.0
@@ -145,15 +165,59 @@ def bench_e2e(iters: int, rounds: int) -> dict:
     }
 
 
+def _observed_once(image: KernelImage) -> tuple:
+    t0 = time.perf_counter()
+    result = profile_sti(image, HANG_STI)  # kcov + profiler attached
+    elapsed = time.perf_counter() - t0
+    assert result.crash is not None and result.crash.title == HANG_TITLE, result.crash
+    return elapsed, result
+
+
+def _profile_view(result) -> tuple:
+    return (
+        result.crash.title,
+        result.coverage,
+        result.retvals,
+        [(p.syscall, p.retval, p.coverage, p.events) for p in result.profiles],
+    )
+
+
+def bench_observed(rounds: int) -> dict:
+    images = {
+        "reference": KernelImage(KernelConfig(engine="reference")),
+        "decoded": KernelImage(KernelConfig()),
+    }
+    best = {engine: float("inf") for engine in images}
+    for _ in range(rounds):
+        views = {}
+        for engine, image in images.items():
+            elapsed, result = _observed_once(image)
+            best[engine] = min(best[engine], elapsed)
+            views[engine] = _profile_view(result)
+        # Differential gate: same profile, coverage and verdict.
+        assert views["decoded"] == views["reference"]
+    return {
+        "sti": repr(HANG_STI),
+        "rounds": rounds,
+        "crash_title": HANG_TITLE,
+        "outcomes_identical": True,
+        "reference_s": best["reference"],
+        "decoded_s": best["decoded"],
+        "speedup": best["reference"] / best["decoded"],
+    }
+
+
 def run_benchmark(quick: bool = False) -> dict:
     micro_iters = MICRO_ITERS // 4 if quick else MICRO_ITERS
     micro_rounds = 3 if quick else MICRO_ROUNDS
     e2e_iters = 40 if quick else E2E_ITERS
     e2e_rounds = 2 if quick else E2E_ROUNDS
+    observed_rounds = 2 if quick else OBSERVED_ROUNDS
 
     ENGINE_COUNTERS.reset()
     micro = bench_micro(micro_iters, micro_rounds)
     e2e = bench_e2e(e2e_iters, e2e_rounds)
+    observed = bench_observed(observed_rounds)
 
     artifact = {
         "quick": quick,
@@ -165,6 +229,7 @@ def run_benchmark(quick: bool = False) -> dict:
         "floor": FLOOR,
         "micro_uninstrumented_loop": micro,
         "e2e_fuzz_campaign": e2e,
+        "observed_hang_sti": observed,
         "engine_counters": ENGINE_COUNTERS.snapshot(),
     }
     os.makedirs(os.path.dirname(ARTIFACT_PATH), exist_ok=True)
@@ -187,6 +252,13 @@ def _report(artifact: dict) -> None:
         f"(target {E2E_TARGET:.1f}x); outcomes identical over "
         f"{e2e['rounds']} rounds of {e2e['tests_per_campaign']} tests"
     )
+    observed = artifact["observed_hang_sti"]
+    print(
+        f"observed: reference {observed['reference_s']:.3f}s, decoded "
+        f"{observed['decoded_s']:.3f}s -> decoded {observed['speedup']:.2f}x "
+        f"reference on the profiled hang STI (floor {FLOOR:.1f}x); "
+        f"identical profiles over {observed['rounds']} rounds"
+    )
     print(f"counters: {artifact['engine_counters']}")
     print(f"wrote {ARTIFACT_PATH}")
 
@@ -202,8 +274,10 @@ def test_dispatch_never_slower_than_reference():
     _report(artifact)
     micro = artifact["micro_uninstrumented_loop"]["speedup"]
     e2e = artifact["e2e_fuzz_campaign"]["speedup"]
+    observed = artifact["observed_hang_sti"]["speedup"]
     assert micro > FLOOR, f"decoded dispatch slower than reference: {micro:.2f}x"
     assert e2e > FLOOR, f"optimized campaign slower than reference: {e2e:.2f}x"
+    assert observed > FLOOR, f"decoded profiling slower than reference: {observed:.2f}x"
 
 
 def main() -> int:
@@ -218,10 +292,12 @@ def main() -> int:
     _report(artifact)
     micro = artifact["micro_uninstrumented_loop"]["speedup"]
     e2e = artifact["e2e_fuzz_campaign"]["speedup"]
+    observed = artifact["observed_hang_sti"]["speedup"]
     if args.quick:
         ok = micro > FLOOR and e2e > FLOOR
     else:
         ok = micro >= MICRO_TARGET and e2e >= E2E_TARGET
+    ok = ok and observed > FLOOR
     if not ok:
         print("FAIL: speedup below target")
         return 1

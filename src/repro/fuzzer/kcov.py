@@ -42,6 +42,16 @@ class KCov:
             return
         self._per_thread.setdefault(thread, set()).add(addr)
 
+    def thread_cover(self, thread: int) -> Set[int]:
+        """The live set :meth:`on_insn` records ``thread`` into.
+
+        For the interpreter's run loops, which check :attr:`enabled` and
+        add addresses themselves instead of paying a call per
+        instruction; they fetch the set at their first record, so a
+        disabled collector still creates no entry.
+        """
+        return self._per_thread.setdefault(thread, set())
+
     def coverage_of(self, thread: int) -> FrozenSet[int]:
         return frozenset(self._per_thread.get(thread, ()))
 

@@ -19,9 +19,17 @@ execution into three phases:
    specialization happens here: ``insn.instrumented and oemu`` picks the
    OEMU callback path or the direct-memory path, and method lookups
    (``memory.check``, ``kasan.check_access``, ``memory.load``...) are
-   hoisted into closure cells.  Machines with a ``deps`` tracker attached
-   fall back to the reference ``_execute`` per instruction — the fast
-   closures are for the no-``deps`` configuration the fuzzer runs.
+   hoisted into closure cells.  An instrumented load or store binds the
+   OEMU access path specialised to its annotation
+   (:meth:`repro.oemu.core.Oemu.bind_load` / ``bind_store``) and passes
+   its own address and function on each call, so the annotation's
+   ordering effect is decided here, once, rather than on every access.
+   The interpreter's run loops record kcov coverage from each function's
+   instruction-address table (built with the decode), so coverage does
+   not need per-step dispatch.  Machines with a ``deps`` tracker
+   attached fall back to the reference ``_execute`` per instruction —
+   the fast closures are for the no-``deps`` configuration the fuzzer
+   runs.
 
 3. **execute**: ``closure(thread, frame) -> bool`` with the same
    contract as ``_execute`` — the return value is the advance flag, and
@@ -220,7 +228,7 @@ def _decode_load(insn: Load, fname: str, index: int) -> OpFactory:
         kasan_check = m.kasan.check_access
         oemu = m.oemu if instrumented else None
         if oemu is not None:
-            on_load = oemu.on_load
+            oemu_load = oemu.bind_load(annot)
             if bname is None:
                 def op(thread, frame, addr=static_addr):
                     try:
@@ -228,9 +236,7 @@ def _decode_load(insn: Load, fname: str, index: int) -> OpFactory:
                     except MemoryFault as fault:
                         on_fault(fault, fname, ia)
                     kasan_check(addr, size, False, fname, ia)
-                    frame.regs[dst] = on_load(
-                        thread.thread_id, ia, annot, addr, size, fname
-                    )
+                    frame.regs[dst] = oemu_load(thread.thread_id, ia, addr, size, fname)
                     return True
             else:
                 def op(thread, frame, base=bname):
@@ -244,9 +250,7 @@ def _decode_load(insn: Load, fname: str, index: int) -> OpFactory:
                     except MemoryFault as fault:
                         on_fault(fault, fname, ia)
                     kasan_check(addr, size, False, fname, ia)
-                    regs[dst] = on_load(
-                        thread.thread_id, ia, annot, addr, size, fname
-                    )
+                    regs[dst] = oemu_load(thread.thread_id, ia, addr, size, fname)
                     return True
         else:
             # The uninstrumented fast path: direct memory access.
@@ -294,15 +298,14 @@ def _decode_store(insn: Store, fname: str, index: int) -> OpFactory:
         on_fault = m.fault_oracle.on_fault
         kasan_check = m.kasan.check_access
         oemu = m.oemu if instrumented else None
+        # commit(thread_id, inst_addr, addr, size, value, function): the
+        # OEMU store path for this annotation, or a direct memory store.
         if oemu is not None:
-            on_store = oemu.on_store
-
-            def commit(thread, addr, value):
-                on_store(thread.thread_id, ia, annot, addr, size, value, fname)
+            commit = oemu.bind_store(annot)
         else:
             mem_store = m.memory.store
 
-            def commit(thread, addr, value):
+            def commit(thread_id, inst_addr, addr, size, value, function):
                 mem_store(addr, size, value, check=False)
 
         if bname is None and sname is None:
@@ -312,7 +315,7 @@ def _decode_store(insn: Store, fname: str, index: int) -> OpFactory:
                 except MemoryFault as fault:
                     on_fault(fault, fname, ia)
                 kasan_check(addr, size, True, fname, ia)
-                commit(thread, addr, value)
+                commit(thread.thread_id, ia, addr, size, value, fname)
                 return True
         elif bname is None:
             def op(thread, frame, addr=static_addr, src=sname):
@@ -325,7 +328,7 @@ def _decode_store(insn: Store, fname: str, index: int) -> OpFactory:
                 except MemoryFault as fault:
                     on_fault(fault, fname, ia)
                 kasan_check(addr, size, True, fname, ia)
-                commit(thread, addr, value)
+                commit(thread.thread_id, ia, addr, size, value, fname)
                 return True
         elif sname is None:
             def op(thread, frame, base=bname, value=sconst):
@@ -338,7 +341,7 @@ def _decode_store(insn: Store, fname: str, index: int) -> OpFactory:
                 except MemoryFault as fault:
                     on_fault(fault, fname, ia)
                 kasan_check(addr, size, True, fname, ia)
-                commit(thread, addr, value)
+                commit(thread.thread_id, ia, addr, size, value, fname)
                 return True
         else:
             def op(thread, frame, base=bname, src=sname):
@@ -356,7 +359,7 @@ def _decode_store(insn: Store, fname: str, index: int) -> OpFactory:
                 except MemoryFault as fault:
                     on_fault(fault, fname, ia)
                 kasan_check(addr, size, True, fname, ia)
-                commit(thread, addr, value)
+                commit(thread.thread_id, ia, addr, size, value, fname)
                 return True
         return op
 
@@ -656,7 +659,9 @@ def decode_insn(insn: Insn, fname: str, index: int) -> OpFactory:
 
 
 class DecodedProgram:
-    """Per-program factory table: ``id(function) -> [factory, ...]``.
+    """Per-program factory table: ``id(function) -> [factory, ...]``,
+    plus ``addrs``: ``id(function) -> [insn address, ...]``, the table
+    the interpreter's run loops record kcov coverage from.
 
     Machine-independent; produced once per linked program (memoized via
     :func:`decode_program`) and bound lazily per machine by
@@ -666,10 +671,12 @@ class DecodedProgram:
     def __init__(self, program: Program) -> None:
         self.program = program
         self.factories: Dict[int, List[OpFactory]] = {}
+        self.addrs: Dict[int, List[int]] = {}
         for func in program.functions.values():
             self.factories[id(func)] = [
                 decode_insn(insn, func.name, i) for i, insn in enumerate(func.insns)
             ]
+            self.addrs[id(func)] = [insn.addr for insn in func.insns]
 
 
 def decode_program(program: Program) -> DecodedProgram:
@@ -689,7 +696,9 @@ class BoundProgram:
     """A decoded program bound to one machine.
 
     ``by_func`` maps ``id(function)`` to the bound closure list and is
-    what the interpreter's step loop consults; functions are bound on
+    what the interpreter's step loop consults; ``addrs`` (shared with the
+    decoded program) maps it to the function's instruction addresses,
+    which the run loops record as kcov coverage.  Functions are bound on
     first execution (most fuzzing inputs touch a small fraction of the
     kernel).  Binding survives :meth:`Kernel.reset` — closures reference
     only machine components that live for the machine's lifetime
@@ -701,6 +710,7 @@ class BoundProgram:
         had_cache = getattr(machine.program, _CACHE_ATTR, None) is not None
         self.decoded = decode_program(machine.program)
         self.by_func: Dict[int, List[OpClosure]] = {}
+        self.addrs = self.decoded.addrs
         if had_cache:
             counters = getattr(machine, "engine_counters", None)
             if counters is not None:
@@ -723,6 +733,7 @@ class BoundProgram:
                     decode_insn(insn, function.name, i)
                     for i, insn in enumerate(function.insns)
                 ]
+                self.addrs[id(function)] = [insn.addr for insn in function.insns]
             ops = [factory(m) for factory in factories]
         self.by_func[id(function)] = ops
         from repro.oemu.profiler import ENGINE_COUNTERS

@@ -137,10 +137,12 @@ class Interpreter:
     differential-test oracle), ``decoded`` runs pre-compiled closures
     from :mod:`repro.kir.decode`.  A machine with a dependency tracker
     always runs ``reference``: the decoded closures are deps-free by
-    design.  On the unobserved run-to-completion path (:meth:`run`
-    with no step cap, no coverage, no trace sink) the decoded closures
-    run in a tight loop; anything an observer watches goes through
-    :meth:`step`, so the Step stream is emitted from one place.
+    design.  On the run-to-completion path (:meth:`run` with no step
+    cap and no active trace sink) the decoded closures run in a tight
+    loop that records kcov coverage itself, per instruction and before
+    the instruction runs, exactly as :meth:`step` does.  Only a trace
+    sink, a step cap or a scheduler breakpoint force :meth:`step`, so
+    the Step stream is emitted from one place.
 
     Per-step machine attributes (``kcov``, ``trace``) are hoisted into
     the interpreter and refreshed by :meth:`rebind`, which the machine
@@ -178,11 +180,12 @@ class Interpreter:
         self._trace = NULL_SINK if trace is None else trace
 
     @property
-    def unobserved_decoded(self) -> bool:
-        """True when decoded closures can run without per-step dispatch:
-        the decoded engine is active and no observer (coverage collector
-        or trace sink) needs to see individual instruction retirements."""
-        return self._codes is not None and self._kcov is None and not self._trace.active
+    def untraced_decoded(self) -> bool:
+        """True when the decoded engine is active and no trace sink needs
+        a Step event per retired instruction.  Such a thread may run on a
+        tight loop instead of :meth:`step` (kcov rides along in the loop);
+        a step cap or a breakpoint is the caller's own reason to step."""
+        return self._codes is not None and not self._trace.active
 
     # -- public API -----------------------------------------------------------
 
@@ -254,11 +257,10 @@ class Interpreter:
 
     def run(self, thread: ThreadCtx, max_steps: Optional[int] = None) -> int:
         """Run a thread to completion; returns its return value."""
-        if max_steps is None and self.unobserved_decoded:
-            # Nobody observes instruction retirement (no coverage, no
-            # trace sink) and there is no step cap, so the per-step
-            # dispatch through step() is pure overhead — run the decoded
-            # closures in a tight loop instead.
+        if max_steps is None and self.untraced_decoded:
+            # No trace sink wants a Step per retirement and there is no
+            # step cap, so the per-step dispatch through step() is pure
+            # overhead — run the decoded closures in a tight loop instead.
             return self._run_decoded(thread)
         steps = 0
         step = self.step  # hoisted: one bound-method lookup per run
@@ -273,14 +275,20 @@ class Interpreter:
     def _run_decoded(self, thread: ThreadCtx) -> int:
         """Run-to-completion inner loop over the decoded closures.
 
-        Equivalent to ``while self.step(thread): pass`` when no observer
-        is attached: fuel/step accounting, frame switching, and
-        :class:`HelperRetry` behave identically — only the per-step
-        attribute re-checks and the method-call boundary are hoisted out.
+        Equivalent to ``while self.step(thread): pass`` when no trace sink
+        is active: fuel/step accounting, kcov coverage (recorded after the
+        fuel charge and before the instruction runs, so a HelperRetry
+        spin or a fuel-exhausting instruction covers what ``step`` would),
+        frame switching, and :class:`HelperRetry` behave identically —
+        only the per-step attribute re-checks and the method-call
+        boundary are hoisted out.
         """
         codes = self._codes
         bound = self._bound
         frames = thread.frames
+        kcov = self._kcov
+        cover = None  # the thread's kcov set, fetched at its first record
+        addrs = None
         while not thread.finished:
             frame = frames[-1]
             ops = frame.ops
@@ -290,6 +298,8 @@ class Interpreter:
                 if ops is None:
                     ops = bound.bind_function(func)
                 frame.ops = ops
+            if kcov is not None:
+                addrs = bound.addrs[id(frame.function)]
             # Stay in this frame until a call/ret swaps the top of stack.
             while True:
                 if thread.fuel <= 0:
@@ -299,6 +309,10 @@ class Interpreter:
                 thread.fuel -= 1
                 thread.steps += 1
                 index = frame.index
+                if kcov is not None and kcov.enabled:
+                    if cover is None:
+                        cover = kcov.thread_cover(thread.thread_id)
+                    cover.add(addrs[index])
                 try:
                     advance = ops[index](thread, frame)
                 except HelperRetry:

@@ -19,6 +19,22 @@ All barrier/annotation semantics come from :mod:`repro.oemu.barriers`
 (Table 1), which keeps OEMU LKMM-compliant (§3.3, §10.1): store buffers
 flush on wmb/mb/release/atomics-with-release and on interrupts;
 versioning windows reset on rmb/mb/acquire/READ_ONCE/atomics-with-acquire.
+
+Loads and stores are *specialised at bind time*: :meth:`Oemu.bind_load`
+and :meth:`Oemu.bind_store` turn an annotation into an access path with
+its ordering effect, implicit barriers and fence flags folded into
+constants, so the common access (not versioned, not delayed, empty store
+buffer) is a short path.  The decoded engine binds the path once per
+instrumented instruction and passes the instruction's address and
+function on each call; the generic :meth:`Oemu.on_load` /
+:meth:`Oemu.on_store` (reference engine, litmus runner) look the same
+memoized path up and call it, so there is one implementation of the
+semantics.  Binding allocates nothing per instruction — a machine binds
+every function it executes, and fresh machines are booted all through a
+campaign.  Paths read every piece of per-run state (``stats``, the
+thread table, ``profiler``, ``trace``) through the ``Oemu`` at call
+time, because :meth:`Oemu.restore` and a profiler swap replace those
+objects.
 """
 
 from __future__ import annotations
@@ -80,6 +96,14 @@ class ThreadState:
     read_floor: Dict[int, int] = field(default_factory=dict)
 
 
+#: ``op(thread_id, inst_addr, addr, size, function) -> value``, from
+#: :meth:`Oemu.bind_load`.
+LoadOp = Callable[[int, int, int, int, str], int]
+#: ``op(thread_id, inst_addr, addr, size, value, function)``, from
+#: :meth:`Oemu.bind_store`.
+StoreOp = Callable[[int, int, int, int, int, str], None]
+
+
 def _copy_buffer(buffer: VirtualStoreBuffer) -> VirtualStoreBuffer:
     copy = VirtualStoreBuffer()
     copy.restore(buffer.snapshot())
@@ -105,6 +129,9 @@ class Oemu:
         self.trace = trace
         self.stats = OemuStats()
         self._threads: Dict[int, ThreadState] = {}
+        #: Access paths specialised per annotation (see :meth:`bind_load`).
+        self._load_ops: Dict[Annot, LoadOp] = {}
+        self._store_ops: Dict[Annot, StoreOp] = {}
 
     # -- control interface (paper Table 2) ---------------------------------
 
@@ -168,22 +195,54 @@ class Oemu:
         value: int,
         function: str = "",
     ) -> None:
-        state = self.thread_state(thread_id)
-        effect = store_effect(annot)
-        self.stats.stores += 1
-        for kind in implicit_barriers_for_store(annot):
-            self._note_barrier(state, inst_addr, kind, implicit=True, function=function)
-        if effect.store_fence_before:
-            self._flush(state, reason="store-fence")
-        data = (value & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
-        self._profile_access(state, inst_addr, addr, size, True, annot, function)
-        if effect.delayable and inst_addr in state.delay_set:
-            state.buffer.delay(inst_addr, addr, size, data)
-            self.stats.delayed += 1
-            if self.trace.active:
-                self.trace.emit(StoreDelayed(state.thread_id, inst_addr, addr, size))
-        else:
-            self._commit_bytes(state, inst_addr, addr, data)
+        self.bind_store(annot)(thread_id, inst_addr, addr, size, value, function)
+
+    def bind_store(self, annot: Annot) -> StoreOp:
+        """The store path for ``annot``-annotated stores (memoized).  An
+        annotation that is not valid on a store binds fine and raises
+        its ``ValueError`` when executed."""
+        op = self._store_ops.get(annot)
+        if op is None:
+            op = self._store_ops[annot] = self._specialise_store(annot)
+        return op
+
+    def _specialise_store(self, annot: Annot) -> StoreOp:
+        try:
+            effect = store_effect(annot)
+        except ValueError:
+            return self._invalid_op(store_effect, annot)
+        implicit_before = implicit_barriers_for_store(annot)
+        fence_before = effect.store_fence_before
+        delayable = effect.delayable
+        clock = self.clock
+        commit_bytes = self._commit_bytes
+
+        def store(
+            thread_id: int, inst_addr: int, addr: int, size: int, value: int, function: str
+        ) -> None:
+            state = self._threads.get(thread_id)
+            if state is None:
+                state = self.thread_state(thread_id)
+            self.stats.stores += 1
+            for kind in implicit_before:
+                self._note_barrier(state, inst_addr, kind, True, function)
+            if fence_before:
+                self._flush(state, reason="store-fence")
+            data = (value & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
+            profiler = self.profiler
+            if profiler is not None:
+                profiler.on_access(
+                    thread_id, inst_addr, addr, size, True, clock.now, annot, function
+                )
+            if delayable and inst_addr in state.delay_set:
+                state.buffer.delay(inst_addr, addr, size, data)
+                self.stats.delayed += 1
+                if self.trace.active:
+                    self.trace.emit(StoreDelayed(thread_id, inst_addr, addr, size))
+            else:
+                commit_bytes(state, inst_addr, addr, data)
+
+        return store
 
     # -- load path (§3.2) ---------------------------------------------------------
 
@@ -196,40 +255,94 @@ class Oemu:
         size: int,
         function: str = "",
     ) -> int:
-        state = self.thread_state(thread_id)
-        effect = load_effect(annot)
-        self.stats.loads += 1
-        versioned = effect.versionable and inst_addr in state.version_set
-        if versioned:
-            floor = max(
-                [state.window_start]
-                + [state.read_floor.get(addr + i, 0) for i in range(size)]
-            )
-            base, any_old = self.history.read_old(
-                addr, size, floor, self._current_byte, thread=thread_id
-            )
-            if any_old:
-                self.stats.versioned_reads += 1
-            if self.trace.active:
-                self.trace.emit(
-                    VersionedLoad(thread_id, inst_addr, addr, size, bool(any_old))
+        return self.bind_load(annot)(thread_id, inst_addr, addr, size, function)
+
+    def bind_load(self, annot: Annot) -> LoadOp:
+        """The load path for ``annot``-annotated loads (memoized).  An
+        annotation that is not valid on a load binds fine and raises its
+        ``ValueError`` when executed."""
+        op = self._load_ops.get(annot)
+        if op is None:
+            op = self._load_ops[annot] = self._specialise_load(annot)
+        return op
+
+    def _specialise_load(self, annot: Annot) -> LoadOp:
+        try:
+            effect = load_effect(annot)
+        except ValueError:
+            return self._invalid_op(load_effect, annot)
+        implicit_after = implicit_barriers_for_load(annot)
+        fence_after = effect.load_fence_after
+        versionable = effect.versionable
+        read_bytes = self.memory.read_bytes
+        clock = self.clock
+        fromkeys = dict.fromkeys
+
+        def load(thread_id: int, inst_addr: int, addr: int, size: int, function: str) -> int:
+            state = self._threads.get(thread_id)
+            if state is None:
+                state = self.thread_state(thread_id)
+            self.stats.loads += 1
+            now = clock.now  # a load never ticks the clock
+            if versionable and inst_addr in state.version_set:
+                data = self._versioned_read(state, inst_addr, addr, size)
+            else:
+                data = read_bytes(addr, size)
+                # Observed at ``now``, which is at least every recorded
+                # floor (a floor is a time some load already observed),
+                # so one bulk update equals the per-byte max.  At time 0
+                # the per-byte rule records nothing.
+                if now:
+                    state.read_floor.update(fromkeys(range(addr, addr + size), now))
+            buffer = state.buffer
+            if buffer._pending:
+                # Hierarchical search (§3.1): the thread's own in-flight
+                # stores win.
+                data = buffer.forward_overlay(addr, size, data)
+            profiler = self.profiler
+            if profiler is not None:
+                profiler.on_access(
+                    thread_id, inst_addr, addr, size, False, now, annot, function
                 )
-            observed_ts = floor
-        else:
-            base = self.memory.read_bytes(addr, size)
-            observed_ts = self.clock.now
+            for kind in implicit_after:
+                self._note_barrier(state, inst_addr, kind, True, function)
+            if fence_after:
+                self._reset_window(state)
+            return int.from_bytes(data, "little")
+
+        return load
+
+    def _versioned_read(self, state: ThreadState, inst_addr: int, addr: int, size: int) -> bytes:
+        """A versioned load's bytes: the oldest values inside the thread's
+        window that read-read coherence still allows (§3.2)."""
+        read_floor = state.read_floor
+        floor = max(
+            [state.window_start] + [read_floor.get(addr + i, 0) for i in range(size)]
+        )
+        thread_id = state.thread_id
+        data, any_old = self.history.read_old(
+            addr, size, floor, self._current_byte, thread=thread_id
+        )
+        if any_old:
+            self.stats.versioned_reads += 1
+        if self.trace.active:
+            self.trace.emit(VersionedLoad(thread_id, inst_addr, addr, size, bool(any_old)))
         for i in range(size):
             byte = addr + i
-            if observed_ts > state.read_floor.get(byte, 0):
-                state.read_floor[byte] = observed_ts
-        # Hierarchical search (§3.1): the thread's own in-flight stores win.
-        data = state.buffer.forward_overlay(addr, size, base)
-        self._profile_access(state, inst_addr, addr, size, False, annot, function)
-        for kind in implicit_barriers_for_load(annot):
-            self._note_barrier(state, inst_addr, kind, implicit=True, function=function)
-        if effect.load_fence_after:
-            self._reset_window(state)
-        return int.from_bytes(data, "little")
+            if floor > read_floor.get(byte, 0):
+                read_floor[byte] = floor
+        return data
+
+    def _invalid_op(self, effect_of: Callable[[Annot], object], annot: Annot) -> Callable[..., None]:
+        """A callback for an annotation the access kind does not accept:
+        it raises ``effect_of``'s ``ValueError`` when executed, after
+        registering the thread, as the access would have."""
+
+        def invalid(thread_id: int, *_access) -> None:
+            self.thread_state(thread_id)
+            effect_of(annot)
+
+        return invalid
 
     # -- explicit barriers -------------------------------------------------------------
 

@@ -12,20 +12,49 @@ then a store, ``smp_load_acquire`` / ``READ_ONCE`` like a load then an
 ``rmb``, and full-ordered atomics like both.  The profiler records these
 as barrier events (flagged ``implicit``) so Algorithm 1's grouping sees
 the same ordering boundaries OEMU enforces.
+
+Events are immutable named tuples with dataclass-style value semantics:
+an event equals only another event of the same type with the same
+fields, and hashes like the tuple of its fields.  Profiling records one
+event per instrumented access, so construction cost is on the hot path;
+a tuple is built in one C call, where a frozen dataclass pays an
+``object.__setattr__`` per field.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.kir.insn import Annot, BarrierKind
 
 
-@dataclass(frozen=True)
-class AccessEvent:
-    """One profiled memory access (the paper's five-tuple, plus context)."""
+class _Event(tuple):
+    """Tuple-backed event base: equal only to the same event type.
 
+    Plain tuple equality would make an event equal to any tuple (or any
+    other event type) holding the same values; events keep the value
+    semantics of a frozen dataclass instead.  The hash is the tuple
+    hash of the fields, as a frozen dataclass's is.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return tuple.__eq__(self, other)
+        # A plain tuple would answer the reflected comparison by value.
+        return False if isinstance(other, tuple) else NotImplemented
+
+    def __ne__(self, other):
+        if other.__class__ is self.__class__:
+            return tuple.__ne__(self, other)
+        return True if isinstance(other, tuple) else NotImplemented
+
+    __hash__ = tuple.__hash__
+
+
+class _AccessFields(NamedTuple):
     inst_addr: int
     mem_addr: int
     size: int
@@ -34,6 +63,12 @@ class AccessEvent:
     annot: Annot = Annot.PLAIN
     function: str = ""
     atomic: bool = False
+
+
+class AccessEvent(_Event, _AccessFields):
+    """One profiled memory access (the paper's five-tuple, plus context)."""
+
+    __slots__ = ()
 
     @property
     def kind(self) -> str:
@@ -46,15 +81,23 @@ class AccessEvent:
         )
 
 
-@dataclass(frozen=True)
-class BarrierEvent:
-    """One profiled barrier (the paper's three-tuple)."""
-
+class _BarrierFields(NamedTuple):
     inst_addr: int
     kind: BarrierKind
     ts: int
     implicit: bool = False
     function: str = ""
+
+
+class BarrierEvent(_Event, _BarrierFields):
+    """One profiled barrier (the paper's three-tuple)."""
+
+    __slots__ = ()
+
+
+#: ``tuple.__new__`` builds an event without running its Python-level
+#: ``__new__``; the profiler's hot path passes every field positionally.
+_new_event = tuple.__new__
 
 
 ProfileEvent = object  # AccessEvent | BarrierEvent
@@ -119,9 +162,12 @@ class Profiler:
     ) -> None:
         if not self.enabled:
             return
-        self._events.setdefault(thread, []).append(
-            AccessEvent(inst_addr, mem_addr, size, is_write, ts, annot, function, atomic)
-        )
+        events = self._events.get(thread)
+        if events is None:
+            events = self._events[thread] = []
+        events.append(_new_event(
+            AccessEvent, (inst_addr, mem_addr, size, is_write, ts, annot, function, atomic)
+        ))
 
     def on_barrier(
         self,
@@ -134,9 +180,10 @@ class Profiler:
     ) -> None:
         if not self.enabled:
             return
-        self._events.setdefault(thread, []).append(
-            BarrierEvent(inst_addr, kind, ts, implicit, function)
-        )
+        events = self._events.get(thread)
+        if events is None:
+            events = self._events[thread] = []
+        events.append(_new_event(BarrierEvent, (inst_addr, kind, ts, implicit, function)))
 
     def clear(self) -> None:
         self._events.clear()

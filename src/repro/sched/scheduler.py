@@ -78,10 +78,11 @@ class CustomScheduler:
         under this schedule).
         """
         interp = self.interp
-        if breakpoint is None and interp.unobserved_decoded:
-            # No breakpoint to watch for and nobody observes retirement:
-            # the drain phase can run decoded closures directly instead
-            # of paying the step() boundary per instruction.
+        if breakpoint is None and interp.untraced_decoded:
+            # No breakpoint to watch for and no trace sink wants a Step
+            # per retirement: the drain phase can run decoded closures
+            # directly instead of paying the step() boundary per
+            # instruction (kcov is recorded in the loop).
             return self._run_fast(thread)
         steps = 0
         spin = 0
@@ -140,11 +141,16 @@ class CustomScheduler:
         reduces to index equality within a frame — two consecutive steps
         can only share a pc when neither was a call or a ret, i.e. when
         they ran in the same frame — so the counter resets on every
-        frame switch exactly as a depth change resets ``last_pc``.
+        frame switch exactly as a depth change resets ``last_pc``.  Kcov
+        coverage is recorded as :meth:`Interpreter._run_decoded` does it:
+        after the fuel charge, before the instruction runs.
         """
         interp = self.interp
         codes = interp._codes
         bound = interp._bound
+        kcov = interp._kcov
+        cover = None  # the thread's kcov set, fetched at its first record
+        addrs = None
         frames = thread.frames
         max_steps = self.max_steps
         spin_limit = self.SPIN_LIMIT
@@ -158,6 +164,8 @@ class CustomScheduler:
                 if ops is None:
                     ops = bound.bind_function(func)
                 frame.ops = ops
+            if kcov is not None:
+                addrs = bound.addrs[id(frame.function)]
             spin = 0
             last_index = -1
             # Stay in this frame until a call/ret swaps the top of stack.
@@ -179,6 +187,10 @@ class CustomScheduler:
                     )
                 thread.fuel -= 1
                 thread.steps += 1
+                if kcov is not None and kcov.enabled:
+                    if cover is None:
+                        cover = kcov.thread_cover(thread.thread_id)
+                    cover.add(addrs[index])
                 try:
                     advance = ops[index](thread, frame)
                 except HelperRetry:

@@ -15,15 +15,22 @@ import os
 import pytest
 
 from repro.config import KernelConfig
+from repro.errors import ExecutionLimitExceeded, KernelCrash
+from repro.fuzzer import sti as sti_module
 from repro.fuzzer.fuzzer import OzzFuzzer
 from repro.fuzzer.mti import run_mti
-from repro.fuzzer.sti import profile_sti, resolve_args
+from repro.fuzzer.kcov import KCov
+from repro.fuzzer.sti import STI, Call, ResourceRef, profile_sti, resolve_args
 from repro.fuzzer.templates import seed_inputs
 from repro.kernel.kernel import Kernel, KernelImage
+from repro.kernel.subsystems.tls import PROTO
 from repro.kir.function import Program
+from repro.kir.interp import DEFAULT_FUEL, Interpreter
 from repro.litmus.programs import standard_suite
 from repro.machine import Machine
 from repro.oemu.instrument import instrument_program
+from repro.oemu.profiler import Profiler
+from repro.sched.scheduler import CustomScheduler
 from repro.trace.recorder import TraceRecorder
 from repro.trace.replayer import CrashArtifact, replay_artifact
 
@@ -60,9 +67,9 @@ class TestSeedInputs:
             for p_dec, p_ref in zip(dec.profiles, ref.profiles):
                 assert p_dec.syscall == p_ref.syscall
                 assert p_dec.retval == p_ref.retval
-                # AccessEvent/BarrierEvent are frozen dataclasses with
-                # value equality — the five-/three-tuple streams must
-                # match element for element.
+                # AccessEvent/BarrierEvent are immutable tuple-backed
+                # events with value equality — the five-/three-tuple
+                # streams must match element for element.
                 assert p_dec.events == p_ref.events, (sti, p_dec.syscall)
 
     def test_memory_state_identical(self, decoded_image, reference_image):
@@ -84,6 +91,169 @@ class TestSeedInputs:
                     kernel.clock.now,
                 ))
             assert worlds[0] == worlds[1], sti
+
+
+def _fd0(name):
+    return Call(name, (ResourceRef(0),))
+
+
+def _no_setup(kernel):
+    pass
+
+
+def _tls_proto_points_at_tls(kernel):
+    """The default proto's setsockopt dispatches into tls_setsockopt, so
+    a plain socket's setsockopt dereferences its NULL tls context."""
+    kernel.poke(
+        kernel.glob("base_prots") + PROTO.setsockopt,
+        kernel.program.func_addr("tls_setsockopt"),
+    )
+
+
+def _sb_lock_held(kernel):
+    """The ramfs superblock lock is held by nobody who will release it,
+    so sys_creat's spin_lock helper raises HelperRetry until fuel runs out."""
+    kernel.poke(kernel.glob("fs_sb_lock"), 1)
+
+
+#: (setup, STI, expected crash title) for the observed-path parity cases.
+OBSERVED_CASES = {
+    # Self-recursive tls_setsockopt: burns the whole fuel budget.
+    "tls-hang": (
+        _no_setup,
+        STI((Call("socket"), _fd0("tls_init"), _fd0("tls_init"), _fd0("setsockopt"))),
+        "HANG: setsockopt exceeded its fuel budget",
+    ),
+    # NULL dereference two frames down, mid-function.
+    "fault": (
+        _tls_proto_points_at_tls,
+        STI((Call("socket"), _fd0("setsockopt"))),
+        "BUG: unable to handle kernel NULL pointer dereference in tls_setsockopt",
+    ),
+    # Every step a HelperRetry that does not retire.
+    "spin": (
+        _sb_lock_held,
+        STI((Call("socket"), Call("creat", (3,)))),
+        "HANG: creat exceeded its fuel budget",
+    ),
+}
+
+
+def _profile_keeping_threads(image, case):
+    """``profile_sti`` on a fresh kernel prepared by the case's setup,
+    keeping the kernel and every syscall thread it spawned, so fuel,
+    steps and kcov of the call that threw can be compared too."""
+    setup, sti, _ = OBSERVED_CASES[case]
+    kernel = Kernel(image, profiler=Profiler())
+    setup(kernel)
+    threads = []
+    spawn = kernel.spawn_syscall
+
+    def spawn_and_keep(name, args=(), **kwargs):
+        thread = spawn(name, args, **kwargs)
+        threads.append(thread)
+        return thread
+
+    kernel.spawn_syscall = spawn_and_keep
+    return profile_sti(image, sti, kernel=kernel), kernel, threads
+
+
+class _DisabledKCov(KCov):
+    def __init__(self):
+        super().__init__()
+        self.enabled = False
+
+
+class TestObservedPathParity:
+    """Profiled STIs with kcov attached run on the decoded tight loop;
+    the result must be the reference engine's, down to the instruction
+    at which fuel ran out and the coverage of the call that threw."""
+
+    @staticmethod
+    def _assert_same(decoded_image, reference_image, case):
+        dec, dec_kernel, dec_threads = _profile_keeping_threads(decoded_image, case)
+        ref, ref_kernel, ref_threads = _profile_keeping_threads(reference_image, case)
+        title = OBSERVED_CASES[case][2]
+        assert dec.crash is not None and dec.crash.title == title
+        assert ref.crash is not None and ref.crash.title == title
+        assert dec.retvals == ref.retvals
+        assert dec.coverage == ref.coverage
+        assert len(dec.profiles) == len(ref.profiles) == len(dec_threads) - 1
+        for p_dec, p_ref in zip(dec.profiles, ref.profiles):
+            assert p_dec.coverage == p_ref.coverage
+            assert p_dec.events == p_ref.events
+        assert [(t.thread_id, t.steps, t.fuel) for t in dec_threads] == [
+            (t.thread_id, t.steps, t.fuel) for t in ref_threads
+        ]
+        for t in dec_threads:
+            assert dec_kernel.kcov.coverage_of(t.thread_id) == (
+                ref_kernel.kcov.coverage_of(t.thread_id)
+            )
+        return dec, dec_kernel, dec_threads
+
+    @pytest.mark.parametrize("case", sorted(OBSERVED_CASES))
+    def test_profile_identical(self, decoded_image, reference_image, case):
+        dec, kernel, threads = self._assert_same(decoded_image, reference_image, case)
+        thrown = threads[-1]
+        assert kernel.kcov.coverage_of(thrown.thread_id)
+        if dec.crash.oracle == "hang":
+            assert (thrown.steps, thrown.fuel) == (DEFAULT_FUEL, 0)
+
+    @pytest.mark.parametrize("case", sorted(OBSERVED_CASES))
+    def test_profile_identical_with_kcov_disabled(
+        self, decoded_image, reference_image, case, monkeypatch
+    ):
+        monkeypatch.setattr(sti_module, "KCov", _DisabledKCov)
+        dec, kernel, threads = self._assert_same(decoded_image, reference_image, case)
+        assert dec.coverage == frozenset()
+        assert all(not kernel.kcov.coverage_of(t.thread_id) for t in threads)
+
+    @pytest.mark.parametrize("case", sorted(OBSERVED_CASES))
+    def test_scheduler_drain_identical(self, decoded_image, reference_image, case):
+        """The scheduler's breakpoint-free drain records kcov in its own
+        loop too: same coverage, steps, fuel and verdict per call."""
+
+        def drain(image):
+            setup, sti, _ = OBSERVED_CASES[case]
+            kernel = Kernel(image)
+            setup(kernel)
+            kernel.kcov = KCov()
+            sched = CustomScheduler(kernel.interp)
+            retvals, seen = [], []
+            for call in sti.calls:
+                thread = kernel.spawn_syscall(call.name, resolve_args(call, retvals))
+                try:
+                    sched.run_until(thread, None)
+                except (KernelCrash, ExecutionLimitExceeded) as exc:
+                    verdict = str(exc)
+                else:
+                    verdict = None
+                    retvals.append(thread.retval)
+                seen.append((
+                    verdict,
+                    thread.steps,
+                    thread.fuel,
+                    kernel.kcov.coverage_of(thread.thread_id),
+                ))
+                if verdict is not None:
+                    return seen
+            return seen
+
+        dec = drain(decoded_image)
+        assert dec == drain(reference_image)
+        assert dec[-1][0] is not None and dec[-1][3]
+
+    @pytest.mark.parametrize("case", sorted(OBSERVED_CASES))
+    def test_decoded_profiling_never_steps(self, decoded_image, case, monkeypatch):
+        """Structural guard: kcov alone must not send the decoded engine
+        back to per-step dispatch."""
+
+        def no_step(self, thread):
+            raise AssertionError("profiled STI fell back to Interpreter.step")
+
+        monkeypatch.setattr(Interpreter, "step", no_step)
+        result, _, _ = _profile_keeping_threads(decoded_image, case)
+        assert result.crash.title == OBSERVED_CASES[case][2]
 
 
 class TestLitmus:

@@ -102,6 +102,43 @@ class TestProfiler:
         assert profiler.events_for(t.thread_id) == []
 
 
+class TestProfileEventValues:
+    """Events are tuple-backed but keep frozen-dataclass value semantics."""
+
+    def test_fields_and_defaults(self):
+        assert AccessEvent._fields == (
+            "inst_addr", "mem_addr", "size", "is_write", "ts", "annot", "function", "atomic"
+        )
+        assert BarrierEvent._fields == ("inst_addr", "kind", "ts", "implicit", "function")
+        a = AccessEvent(1, 0x100, 8, False, 3)
+        assert (a.annot, a.function, a.atomic) == (Annot.PLAIN, "", False)
+        b = BarrierEvent(2, BarrierKind.WMB, 4)
+        assert (b.implicit, b.function) == (False, "")
+        assert a.kind == "load" and AccessEvent(1, 0x100, 8, True, 3).kind == "store"
+        assert a.overlaps(AccessEvent(9, 0x107, 1, True, 0))
+        assert not a.overlaps(AccessEvent(9, 0x108, 1, True, 0))
+
+    def test_equality_is_per_type(self):
+        a = AccessEvent(1, 0x100, 8, True, 3, Annot.ONCE, "f", False)
+        fields = (1, 0x100, 8, True, 3, Annot.ONCE, "f", False)
+        assert a == AccessEvent(*fields) and not a != AccessEvent(*fields)
+        assert a != AccessEvent(1, 0x100, 8, True, 4, Annot.ONCE, "f", False)
+        assert a != fields and fields != a and not a == fields
+        assert BarrierEvent(1, BarrierKind.RMB, 3) != (1, BarrierKind.RMB, 3, False, "")
+
+    def test_hash_is_the_field_tuple_hash(self):
+        a = AccessEvent(1, 0x100, 8, True, 3)
+        assert hash(a) == hash((1, 0x100, 8, True, 3, Annot.PLAIN, "", False))
+        assert {a: 1}[AccessEvent(1, 0x100, 8, True, 3)] == 1
+
+    def test_immutable(self):
+        a = AccessEvent(1, 0x100, 8, True, 3)
+        with pytest.raises(AttributeError):
+            a.ts = 4
+        with pytest.raises(AttributeError):
+            a.extra = 1
+
+
 class TestInterpEdgeCases:
     def test_call_arity_mismatch(self):
         callee = Builder("g", params=["a", "b"])
