@@ -41,7 +41,7 @@ import pytest
 
 from repro.bench.tables import render_table
 from repro.campaign_api import CampaignSpec, run_campaign
-from repro.fuzzer.parallel import run_shard
+from repro.fuzzer.parallel import run_batch
 
 ITERATIONS = 40
 SEED = 1
@@ -160,9 +160,10 @@ def _shard_hits(result):
 @pytest.fixture(scope="module")
 def rank_ablation_results():
     spec = CampaignSpec(iterations=ITERATIONS, seed=SEED, static_hints=True)
-    lockset = run_shard(spec, 0)
-    tier = run_shard(
-        spec, 0, on_fuzzer=lambda f: setattr(f, "static_rank", "tier")
+    batch = spec.batches()[0]
+    lockset = run_batch(spec, batch)
+    tier = run_batch(
+        spec, batch, on_fuzzer=lambda f: setattr(f, "static_rank", "tier")
     )
     return lockset, tier
 

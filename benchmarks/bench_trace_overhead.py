@@ -7,11 +7,17 @@ dispatch costs one attribute load and a falsy branch per step — no
 event object is ever constructed.
 
 The A/B here pits the shipped interpreter (NULL_SINK attached) against
-a ``_BaselineInterpreter`` whose ``step`` replicates the pre-ExecTrace
-body with no trace dispatch at all, on the most adversarial workload: a
-tight arithmetic + load/store loop where per-step dispatch is the
+a ``_BaselineInterpreter`` whose ``step`` is the shipped decoded-engine
+body with the trace dispatch removed, on the most adversarial workload:
+a tight arithmetic + load/store loop where per-step dispatch is the
 largest possible fraction of the work.  Real fuzzing workloads
 (syscalls, OEMU callbacks, oracles) only dilute the ratio further.
+
+Both arms run ``Interpreter.run`` with a step cap above the loop's step
+count.  Uncapped, an untraced decoded thread takes the tight
+``_run_decoded`` loop and never calls ``step``, so the A/B would time
+two identical loops; the cap routes every retirement through ``step``,
+and an untimed probe run per arm asserts that it did.
 
 Informational numbers for the recording sinks (ring recorder, metrics)
 ride along, and everything lands in
@@ -36,14 +42,19 @@ ARTIFACT_PATH = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "artifacts", "trace_overhead.json"
 )
 
-LOOP_ITERS = 15_000   # ~6 instructions per iteration, well under fuel
+LOOP_ITERS = 15_000   # 5 instructions per iteration, well under fuel
 ROUNDS = 9            # interleaved min-of-N keeps scheduler noise out
 OVERHEAD_BUDGET = 0.05
+# store + load + 2 adds + branch retire per iteration; 2 movs + ret outside.
+STEPS = LOOP_ITERS * 5 + 3
+# Any cap makes ``Interpreter.run`` step; this one is never reached.
+MAX_STEPS = 2 * STEPS
 
 
 class _BaselineInterpreter(Interpreter):
-    """``Interpreter.step`` exactly as it was before the ExecTrace
-    refactor: same body, no trace dispatch.  The A side of the A/B."""
+    """The shipped ``Interpreter.step`` with its trace dispatch removed
+    (decoded engine; the reference branch is never taken here).  The A
+    side of the A/B."""
 
     def step(self, thread):
         if thread.finished:
@@ -55,13 +66,21 @@ class _BaselineInterpreter(Interpreter):
         thread.fuel -= 1
         thread.steps += 1
         frame = thread.frames[-1]
-        insn = frame.function.insns[frame.index]
-        machine = self.machine
-        if machine.kcov is not None:
-            machine.kcov.on_insn(thread.thread_id, insn.addr)
-        advance = True
+        if self._codes is None:
+            raise AssertionError("the A/B runs the decoded engine")
+        index = frame.index
+        kcov = self._kcov
+        if kcov is not None:
+            kcov.on_insn(thread.thread_id, frame.function.insns[index].addr)
+        ops = frame.ops
+        if ops is None:
+            func = frame.function
+            ops = self._codes.get(id(func))
+            if ops is None:
+                ops = self._bound.bind_function(func)
+            frame.ops = ops
         try:
-            advance = self._execute(thread, frame, insn)
+            advance = ops[index](thread, frame)
         except HelperRetry:
             return True
         if advance and not thread.finished and thread.frames and thread.frames[-1] is frame:
@@ -92,7 +111,23 @@ EXPECTED = sum(range(LOOP_ITERS))
 
 def _run(make_machine) -> int:
     m = make_machine()
-    return m.run("spin", (LOOP_ITERS,))
+    return m.interp.run(m.spawn("spin", (LOOP_ITERS,)), max_steps=MAX_STEPS)
+
+
+def _step_calls(make_machine) -> int:
+    """How many times one run of the workload calls ``Interpreter.step``."""
+    m = make_machine()
+    calls = 0
+    step = m.interp.step
+
+    def counting(thread):
+        nonlocal calls
+        calls += 1
+        return step(thread)
+
+    m.interp.step = counting  # ``run`` looks ``step`` up on the instance
+    m.interp.run(m.spawn("spin", (LOOP_ITERS,)), max_steps=MAX_STEPS)
+    return calls
 
 
 def _time_once(make_machine) -> float:
@@ -115,6 +150,10 @@ def _baseline_machine() -> Machine:
 
 def test_null_sink_overhead_under_budget():
     """The tentpole's perf gate: NULL_SINK dispatch costs < 5%."""
+    # Both arms retire every instruction through step(), or the A/B
+    # would time the tight loop instead of the dispatch it names.
+    assert _step_calls(_baseline_machine) == STEPS
+    assert _step_calls(_null_machine) == STEPS
     # Warm up both paths (bytecode caches, allocator pools).
     _time_once(_baseline_machine)
     _time_once(_null_machine)
@@ -133,13 +172,12 @@ def test_null_sink_overhead_under_budget():
         lambda: Machine(PROGRAM, trace=TeeSink([TraceRecorder(), TraceMetrics()]))
     )
 
-    # store + load + 2 adds + branch retire per iteration; 2 movs + ret outside.
-    steps = LOOP_ITERS * 5 + 3
     artifact = {
         "workload": {
             "description": "tight store/load/add loop (adversarial for dispatch)",
             "loop_iters": LOOP_ITERS,
-            "approx_steps": steps,
+            "steps": STEPS,
+            "max_steps": MAX_STEPS,
             "rounds": ROUNDS,
         },
         "baseline_no_dispatch_s": baseline,
@@ -168,8 +206,8 @@ def test_null_sink_overhead_under_budget():
     print(f"wrote {ARTIFACT_PATH}")
 
     # The recording sinks really consumed the stream.
-    assert recorder.index >= steps
-    assert metrics.events_by_kind["step"] >= steps
+    assert recorder.index >= STEPS
+    assert metrics.events_by_kind["step"] >= STEPS
     assert overhead < OVERHEAD_BUDGET, (
         f"NULL_SINK dispatch overhead {overhead:.2%} exceeds "
         f"{OVERHEAD_BUDGET:.0%} budget"

@@ -26,8 +26,8 @@ JSON schema (``version`` 2)::
         "details": {...}?},    # race-candidate findings only
        ...]}
 
-Version 1 (no ``race-candidate`` check, no ``details`` field) is still
-readable: :meth:`LintReport.from_json_dict` accepts both.
+:meth:`LintReport.from_json_dict` reads version 2 only; any other
+version is rejected with a ``ValueError`` naming both versions.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from repro.analysis.barriers import (
 from repro.analysis.locks import check_lock_pairing
 from repro.analysis.races import RaceFinding, analyze_races
 from repro.analysis.reaching import undefined_reads
+from repro.errors import check_version
 from repro.kir.function import Program
 
 #: JSON report schema version.
@@ -65,7 +66,7 @@ class Finding:
     message: str
     #: structured payload (race-candidate findings carry the full
     #: :class:`~repro.analysis.races.RaceFinding` dict); omitted from
-    #: JSON when absent so v1 consumers see the exact v1 shape
+    #: JSON when absent
     details: Optional[Dict[str, object]] = None
 
     def to_dict(self) -> Dict[str, object]:
@@ -126,14 +127,14 @@ class LintReport:
 
     @classmethod
     def from_json_dict(cls, data: Dict[str, object]) -> "LintReport":
-        """Read a serialized report — schema version 1 or 2.
+        """Read a serialized report (schema :data:`LINT_SCHEMA_VERSION`).
 
         Candidates are not serialized (they never were); a loaded
         report answers finding-level queries only.
         """
-        version = data.get("version")
-        if version not in (1, 2):
-            raise ValueError(f"unsupported lint report version {version!r}")
+        check_version(
+            "lint report", data.get("version"), LINT_SCHEMA_VERSION, ValueError
+        )
         findings = [Finding.from_dict(f) for f in data.get("findings", [])]
         races = [
             RaceFinding.from_dict(f.details)

@@ -1,7 +1,6 @@
 """Benchmark drivers regenerating the paper's tables and figures."""
 
 from repro.bench.campaign import (
-    CampaignResult,
     KcsanVerdict,
     ReproResult,
     Table3CampaignResult,
@@ -18,7 +17,6 @@ from repro.bench.lmbench import WORKLOADS, LmbenchRow, Workload, run_lmbench
 from repro.bench.tables import fmt_ratio, fmt_us, render_table
 
 __all__ = [
-    "CampaignResult",
     "KcsanVerdict",
     "LmbenchRow",
     "ReproResult",

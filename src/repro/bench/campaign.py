@@ -189,11 +189,6 @@ class Table3CampaignResult:
     first_hit_tests: Dict[str, int] = field(default_factory=dict)
 
 
-#: Deprecated alias, kept for established imports; new code should use
-#: :class:`repro.campaign_api.CampaignResult`.
-CampaignResult = Table3CampaignResult
-
-
 def run_table3_campaign(
     *, seed: int = 1, iterations: int = 30, jobs: int = 1
 ) -> Table3CampaignResult:

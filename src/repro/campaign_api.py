@@ -6,8 +6,8 @@ function (``OzzFuzzer.run``, ``run_table3_campaign``, ``run_table4``,
 This module replaces them with a single declarative pair:
 
 * :class:`CampaignSpec` — what to run: iteration budget, RNG seed,
-  patched bug ids, a :class:`WorkerPolicy` (worker count, batch size,
-  heartbeat deadline, retry budget), optional wall-clock budget.
+  patched bug ids, worker knobs (worker count, batch size, heartbeat
+  deadline, retry budget), optional wall-clock budget.
 * :class:`CampaignResult` — what happened: merged
   :class:`~repro.fuzzer.fuzzer.FuzzStats`, deduplicated crash records
   with first-finder attribution, found bug ids, wall time, and a
@@ -42,11 +42,11 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Tuple
 
 from repro.config import check_engine
-from repro.errors import ConfigError
+from repro.errors import ConfigError, check_version
 from repro.fuzzer.fuzzer import FuzzStats
 from repro.fuzzer.triage import CrashDB
 
@@ -54,7 +54,7 @@ from repro.fuzzer.triage import CrashDB
 SEED_STRIDE = 10_000
 
 #: Result JSON schema: v2 nests the worker knobs under ``spec.policy``.
-#: ``from_json`` still reads v1 payloads (flat keys only).
+#: ``from_json`` reads this version only.
 JSON_FORMAT_VERSION = 2
 
 
@@ -114,60 +114,6 @@ def validate_transition(current: str, target: str) -> None:
 
 
 @dataclass(frozen=True)
-class WorkerPolicy:
-    """How a campaign's work is executed — the one home for worker knobs.
-
-    ``jobs``          worker processes (1 = in-process serial mode).
-    ``batch_size``    iterations per work-queue batch.  ``None`` derives
-                      one batch per job (the static-partition layout);
-                      an explicit size makes the plan *independent of
-                      jobs*, so the same spec run at jobs=1/2/4 yields
-                      identical results.
-    ``shard_timeout`` seconds without a worker heartbeat before the
-                      supervisor declares its current batch hung, kills
-                      the worker and retries the batch (None = never).
-    ``max_retries``   restarts a failing batch is allowed before it is
-                      marked permanently failed (surviving batches still
-                      merge).
-
-    CLI flags, checkpoint manifests and the supervisor all consume this
-    object; :class:`CampaignSpec` exposes it as ``spec.policy``.
-    """
-
-    jobs: int = 1
-    batch_size: Optional[int] = None
-    shard_timeout: Optional[float] = None
-    max_retries: int = 2
-
-    def __post_init__(self) -> None:
-        if self.jobs < 1:
-            raise ConfigError("need at least one job")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if self.shard_timeout is not None and self.shard_timeout <= 0:
-            raise ConfigError("shard_timeout must be > 0")
-        if self.max_retries < 0:
-            raise ConfigError("max_retries must be >= 0")
-
-    def to_dict(self) -> dict:
-        return {
-            "jobs": self.jobs,
-            "batch_size": self.batch_size,
-            "shard_timeout": self.shard_timeout,
-            "max_retries": self.max_retries,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "WorkerPolicy":
-        return cls(
-            jobs=payload.get("jobs", 1),
-            batch_size=payload.get("batch_size"),
-            shard_timeout=payload.get("shard_timeout"),
-            max_retries=payload.get("max_retries", 2),
-        )
-
-
-@dataclass(frozen=True)
 class BatchSpec:
     """One work item of a campaign's deterministic batch plan.
 
@@ -192,8 +138,10 @@ class CampaignSpec:
     ``seed``         base RNG seed; batch b derives ``seed*10_000+b``.
     ``patched``      bug ids whose fixing barriers are compiled in.
     ``jobs``         worker processes (1 = in-process, no fork).
-    ``batch_size``   iterations per work-queue batch (None = one batch
-                     per job; see :class:`WorkerPolicy`).
+    ``batch_size``   iterations per work-queue batch.  None derives one
+                     batch per job (the static partition); an explicit
+                     size makes the plan independent of ``jobs``, so the
+                     same spec run at jobs=1/2/4 yields identical results.
     ``time_budget``  optional wall-clock cap in seconds per batch.
     ``use_seeds``    start from the Syzlang seed corpus (§6.1) or not.
     ``static_hints`` seed/prioritize scheduling hints from KIRA's static
@@ -222,10 +170,9 @@ class CampaignSpec:
     ``checkpoint_every`` iterations between a batch's mid-run partial
                      checkpoints (used for SIGINT partial merges).
 
-    ``worker_policy`` (init-only) sets ``jobs`` / ``batch_size`` /
-    ``shard_timeout`` / ``max_retries`` in one go from a
-    :class:`WorkerPolicy`; the folded values are readable back via the
-    ``policy`` property.
+    The four worker knobs (``jobs``, ``batch_size``, ``shard_timeout``,
+    ``max_retries``) serialize nested under ``"policy"`` (see
+    :func:`spec_to_dict`).
     """
 
     iterations: int = 40
@@ -243,42 +190,26 @@ class CampaignSpec:
     checkpoint_dir: Optional[str] = None
     checkpoint_every: int = 10
     batch_size: Optional[int] = None
-    worker_policy: InitVar[Optional[WorkerPolicy]] = None
 
-    def __post_init__(self, worker_policy: Optional[WorkerPolicy]) -> None:
-        if worker_policy is not None:
-            object.__setattr__(self, "jobs", worker_policy.jobs)
-            object.__setattr__(self, "batch_size", worker_policy.batch_size)
-            object.__setattr__(self, "shard_timeout", worker_policy.shard_timeout)
-            object.__setattr__(self, "max_retries", worker_policy.max_retries)
+    def __post_init__(self) -> None:
         if self.iterations < 0:
             raise ConfigError("iterations must be >= 0")
         if self.time_budget is not None and self.time_budget < 0:
             raise ConfigError("time_budget must be >= 0")
         if self.checkpoint_every < 1:
             raise ConfigError("checkpoint_every must be >= 1")
-        # WorkerPolicy owns validation of the worker knobs; building it
-        # here rejects bad loose fields through the same code path.
-        WorkerPolicy(
-            jobs=self.jobs,
-            batch_size=self.batch_size,
-            shard_timeout=self.shard_timeout,
-            max_retries=self.max_retries,
-        )
+        if self.jobs < 1:
+            raise ConfigError("need at least one job")
+        if self.batch_size is not None and self.batch_size < 1:
+            raise ConfigError("batch_size must be >= 1")
+        if self.shard_timeout is not None and self.shard_timeout <= 0:
+            raise ConfigError("shard_timeout must be > 0")
+        if self.max_retries < 0:
+            raise ConfigError("max_retries must be >= 0")
         object.__setattr__(self, "patched", tuple(sorted(set(self.patched))))
         check_engine(self.engine)
         object.__setattr__(
             self, "prefix_cache", self.prefix_cache and self.snapshot_reset
-        )
-
-    @property
-    def policy(self) -> WorkerPolicy:
-        """The worker knobs as one :class:`WorkerPolicy` object."""
-        return WorkerPolicy(
-            jobs=self.jobs,
-            batch_size=self.batch_size,
-            shard_timeout=self.shard_timeout,
-            max_retries=self.max_retries,
         )
 
     @property
@@ -538,10 +469,9 @@ class CampaignResult:
     @classmethod
     def from_json(cls, text: str) -> "CampaignResult":
         payload = json.loads(text)
-        if payload.get("version") not in (1, JSON_FORMAT_VERSION):
-            raise ValueError(
-                f"unsupported campaign result version {payload.get('version')!r}"
-            )
+        check_version(
+            "campaign result", payload.get("version"), JSON_FORMAT_VERSION, ValueError
+        )
         return cls(
             spec=spec_from_dict(payload["spec"]),
             stats=FuzzStats(**payload["stats"]),
@@ -566,14 +496,19 @@ class CampaignResult:
 def spec_to_dict(spec: CampaignSpec) -> dict:
     """JSON-safe spec payload, shared by result JSON and checkpoints.
 
-    Schema v2: worker knobs live in the nested ``policy`` dict (the
-    :class:`WorkerPolicy` round trip); everything else is flat.
+    Schema v2: the four worker knobs live in the nested ``policy`` dict;
+    everything else is flat.
     """
     return {
         "iterations": spec.iterations,
         "seed": spec.seed,
         "patched": list(spec.patched),
-        "policy": spec.policy.to_dict(),
+        "policy": {
+            "jobs": spec.jobs,
+            "batch_size": spec.batch_size,
+            "shard_timeout": spec.shard_timeout,
+            "max_retries": spec.max_retries,
+        },
         "time_budget": spec.time_budget,
         "use_seeds": spec.use_seeds,
         "static_hints": spec.static_hints,
@@ -587,40 +522,30 @@ def spec_to_dict(spec: CampaignSpec) -> dict:
 
 #: Keys :func:`spec_from_dict` understands — the service rejects a
 #: submitted spec containing anything else so a typoed knob fails loudly
-#: instead of silently running with its default.
+#: instead of silently running with its default.  The worker knobs are
+#: accepted both flat (the ``POST /api/campaigns`` and dashboard form)
+#: and nested under ``policy`` (the form :func:`spec_to_dict` writes).
 KNOWN_SPEC_KEYS = frozenset(
-    {
-        "iterations", "seed", "patched", "policy", "time_budget",
-        "use_seeds", "static_hints", "engine", "snapshot_reset",
-        "prefix_cache", "checkpoint_dir", "checkpoint_every",
-        # schema v1 flat worker knobs
-        "jobs", "batch_size", "shard_timeout", "max_retries",
-    }
+    {f.name for f in fields(CampaignSpec)} | {"policy"}
 )
 
 
 def spec_from_dict(sp: dict) -> CampaignSpec:
     """Rebuild a spec; absent keys fall back to their field defaults.
 
-    Reads both schema v2 (nested ``policy``) and v1 (flat
-    ``jobs``/``shard_timeout``/``max_retries`` keys) payloads — older
-    artifacts and checkpoints simply lack the newer keys.  Partial
-    payloads (an HTTP submission with only ``{"iterations": 8}``) are
-    valid: every key is optional.
+    The worker knobs come from the nested ``policy`` dict when present,
+    else from flat keys.  Partial payloads (an HTTP submission with only
+    ``{"iterations": 8}``) are valid: every key is optional.
     """
-    if "policy" in sp:
-        policy = WorkerPolicy.from_dict(sp["policy"])
-    else:
-        policy = WorkerPolicy(
-            jobs=sp.get("jobs", 1),
-            batch_size=sp.get("batch_size"),
-            shard_timeout=sp.get("shard_timeout"),
-            max_retries=sp.get("max_retries", 2),
-        )
+    policy = sp.get("policy", sp)
     return CampaignSpec(
         iterations=sp.get("iterations", 40),
         seed=sp.get("seed", 1),
         patched=tuple(sp.get("patched", ())),
+        jobs=policy.get("jobs", 1),
+        batch_size=policy.get("batch_size"),
+        shard_timeout=policy.get("shard_timeout"),
+        max_retries=policy.get("max_retries", 2),
         time_budget=sp.get("time_budget"),
         use_seeds=sp.get("use_seeds", True),
         static_hints=sp.get("static_hints", False),
@@ -629,7 +554,6 @@ def spec_from_dict(sp: dict) -> CampaignSpec:
         prefix_cache=sp.get("prefix_cache", True),
         checkpoint_dir=sp.get("checkpoint_dir"),
         checkpoint_every=sp.get("checkpoint_every", 10),
-        worker_policy=policy,
     )
 
 

@@ -27,12 +27,7 @@ from repro.errors import ReproError
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
-    from repro.campaign_api import (
-        CampaignSpec,
-        WorkerPolicy,
-        resume_campaign,
-        run_campaign,
-    )
+    from repro.campaign_api import CampaignSpec, resume_campaign, run_campaign
     from repro.config import KernelConfig
     from repro.fuzzer.fuzzer import minimize_reproducer
     from repro.kernel.kernel import KernelImage
@@ -41,23 +36,20 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         result = resume_campaign(args.resume)
         spec = result.spec
     else:
-        policy = WorkerPolicy(
-            jobs=args.jobs,
-            batch_size=args.batch_size,
-            shard_timeout=args.shard_timeout,
-            max_retries=args.max_retries,
-        )
         spec = CampaignSpec(
             iterations=args.iterations,
             seed=args.seed,
             patched=tuple(args.patch or ()),
+            jobs=args.jobs,
+            batch_size=args.batch_size,
+            shard_timeout=args.shard_timeout,
+            max_retries=args.max_retries,
             static_hints=args.static_hints,
             engine=args.engine,
             snapshot_reset=not args.no_snapshot_reset,
             prefix_cache=not args.no_prefix_cache,
             checkpoint_dir=args.checkpoint_dir,
             checkpoint_every=args.checkpoint_every,
-            worker_policy=policy,
         )
         result = run_campaign(spec)
     print(result.summary())

@@ -54,3 +54,19 @@ class ExecutionLimitExceeded(ReproError):
     kernel crash because it normally indicates a harness/KIR bug (or a
     spinlock that can never be released under the chosen schedule).
     """
+
+
+def check_version(what: str, found, expected: int, error: type) -> None:
+    """Raise ``error`` unless a payload's schema ``found`` is ``expected``.
+
+    Every versioned artifact reader (checkpoints, campaign results, lint
+    reports) reads exactly one schema version and rejects the rest with
+    this one message, naming the version found and the one this build
+    reads — the wording :class:`~repro.trace.replayer.ArtifactError`
+    uses for crash artifacts.
+    """
+    if found != expected:
+        raise error(
+            f"unsupported {what} version {found!r} "
+            f"(this build reads version {expected})"
+        )

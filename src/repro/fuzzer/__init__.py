@@ -12,7 +12,6 @@ from repro.fuzzer.parallel import (
     campaign_pool,
     merge_shards,
     run_batch,
-    run_shard,
 )
 from repro.fuzzer.reproducer import Reproducer
 from repro.fuzzer.sti import STI, Call, ResourceRef, STIResult, profile_sti
@@ -54,7 +53,6 @@ __all__ = [
     "profile_sti",
     "run_batch",
     "run_mti",
-    "run_shard",
     "seed_inputs",
     "templates",
 ]

@@ -35,6 +35,7 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Tuple
 
 from repro.config import KernelConfig
+from repro.errors import ConfigError
 from repro.fuzzer.fuzzer import FuzzStats, OzzFuzzer
 from repro.fuzzer.kcov import CoverageMap
 from repro.fuzzer.triage import CrashDB
@@ -42,6 +43,11 @@ from repro.kernel.kernel import KernelImage, KernelPool
 
 if TYPE_CHECKING:  # deferred at runtime: campaign_api imports this package
     from repro.campaign_api import BatchSpec, CampaignResult, CampaignSpec
+
+#: Version of the on-disk checkpoint schema (v2: nested worker knobs,
+#: batch plan + claim log in the manifest, coverage as bitmap hex).
+#: The manifest carries it; batch files are read under the same schema.
+CHECKPOINT_VERSION = 2
 
 
 def campaign_image(spec: "CampaignSpec") -> KernelImage:
@@ -93,8 +99,8 @@ class ShardResult:
     def to_json_dict(self) -> dict:
         """JSON-safe payload for the campaign checkpoint directory.
 
-        Coverage is stored as the CoverageMap hex wire form (schema v2);
-        :meth:`from_json_dict` also reads the v1 sorted-address list.
+        Coverage is stored as the CoverageMap hex wire form, the only
+        form :meth:`from_json_dict` reads.
         """
         from dataclasses import asdict
 
@@ -112,17 +118,19 @@ class ShardResult:
     @classmethod
     def from_json_dict(cls, payload: dict) -> "ShardResult":
         raw_cov = payload["coverage"]
-        if isinstance(raw_cov, str):
-            coverage = CoverageMap.from_hex(raw_cov)
-        else:  # checkpoint schema v1: a sorted address list
-            coverage = CoverageMap.from_addrs(raw_cov)
+        if not isinstance(raw_cov, str):
+            raise ConfigError(
+                f"unsupported batch coverage of type {type(raw_cov).__name__} "
+                f"(this build reads checkpoint version {CHECKPOINT_VERSION}: "
+                f"a hex string)"
+            )
         return cls(
             shard=payload["shard"],
             seed=payload["seed"],
             iterations=payload["iterations"],
             stats=FuzzStats(**payload["stats"]),
             crashdb=CrashDB.from_json_dict(payload["crashdb"]),
-            coverage=coverage,
+            coverage=CoverageMap.from_hex(raw_cov),
             seconds=payload["seconds"],
             engine_counters=dict(payload.get("engine_counters", {})),
         )
@@ -183,26 +191,6 @@ def run_batch(
         # Delta over this batch only, measured in the worker process —
         # this is what survives the trip back over the result queue.
         engine_counters=ENGINE_COUNTERS.diff(counter_base),
-    )
-
-
-def run_shard(
-    spec: "CampaignSpec",
-    shard: int,
-    *,
-    progress: Optional[Callable[[int, FuzzStats], Optional[bool]]] = None,
-    on_fuzzer: Optional[Callable[[OzzFuzzer], None]] = None,
-) -> ShardResult:
-    """Run batch ``shard`` of the spec's plan with a private kernel.
-
-    The single-batch convenience wrapper around :func:`run_batch` —
-    with the default ``batch_size=None`` plan this is exactly the old
-    static shard ``k`` of ``jobs``, which is what keeps historical
-    per-shard results (and the supervisor's determinism tests)
-    bit-identical.
-    """
-    return run_batch(
-        spec, spec.batches()[shard], progress=progress, on_fuzzer=on_fuzzer
     )
 
 

@@ -108,7 +108,7 @@ class PrefixCache:
         snap = self._snaps.get(prefix_len)
         if snap is not None:
             kernel = self.pool.acquire(at=snap)
-            self._count_hit(kernel, prefix_len)
+            self._count_hit(prefix_len)
             return kernel, self._retvals[:prefix_len]
         # Partial/cold: start from the deepest cached ancestor and
         # execute the missing calls, snapshotting the levels worth
@@ -119,7 +119,7 @@ class PrefixCache:
         start = max((k for k in self._snaps if k < prefix_len), default=0)
         if start:
             kernel = self.pool.acquire(at=self._snaps[start])
-            self._count_hit(kernel, start)
+            self._count_hit(start)
         else:
             kernel = self.pool.acquire()
         for index in range(start, prefix_len):
@@ -140,8 +140,6 @@ class PrefixCache:
                 self._snaps[depth] = kernel.capture_prefix()
         return kernel, self._retvals[:prefix_len]
 
-    def _count_hit(self, kernel: Kernel, skipped: int) -> None:
+    def _count_hit(self, skipped: int) -> None:
         ENGINE_COUNTERS.prefix_hits += 1
         ENGINE_COUNTERS.calls_skipped += skipped
-        kernel.engine_counters.prefix_hits += 1
-        kernel.engine_counters.calls_skipped += skipped

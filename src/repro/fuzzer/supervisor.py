@@ -20,8 +20,9 @@ provides both halves:
   before every fuzzing iteration; the supervisor **kills and replaces**
   a worker whose heartbeat exceeds ``shard_timeout`` (hung) or whose
   process exits mid-batch (died), and the orphaned batch is re-queued
-  with capped exponential backoff — the retry re-derives the same batch
-  seed, so a recovered campaign is byte-identical to an unfaulted one.
+  with capped exponential backoff (:data:`RETRY_BACKOFF` doubling up to
+  :data:`BACKOFF_CAP`) — the retry re-derives the same batch seed, so a
+  recovered campaign is byte-identical to an unfaulted one.
   When the same batch-local iteration kills its worker
   :data:`POISON_THRESHOLD` times the input is **quarantined** (skipped,
   reported) instead of burning the retry budget; a batch that exhausts
@@ -39,21 +40,22 @@ queue as pickled Python sets.
 
 Checkpoint layout (all JSON, schema :data:`CHECKPOINT_VERSION`)::
 
-    DIR/campaign.json     manifest: spec (with nested WorkerPolicy), the
-                          batch plan, the claim log, completed batches,
-                          telemetry
+    DIR/campaign.json     manifest: spec (worker knobs nested under
+                          "policy"), the batch plan, the claim log,
+                          completed batches, telemetry
     DIR/shard-000.json    one completed batch result (stats, crashdb,
                           coverage bitmap hex)
     DIR/partial-000.json  latest mid-run snapshot of an unfinished batch
 
-Schema v1 checkpoints (flat spec keys, coverage as address lists) load
-through the same reader.  Resume is **batch-granular**: completed
-batches load from disk; an unfinished batch re-runs from iteration 0
-with its re-derived seed, which reproduces exactly the prefix it had
-already executed — so a kill/resume cycle finds the same crash set as
-an uninterrupted run without having to serialize RNG or corpus state
-mid-stream.  Partials exist for *reporting* (the SIGINT partial merge),
-not for skipping work.
+:func:`load_checkpoint` reads schema :data:`CHECKPOINT_VERSION` only and
+rejects any other version with a :class:`~repro.errors.ConfigError`
+naming both (``repro fuzz --resume`` exits 2).  Resume is
+**batch-granular**: completed batches load from disk; an unfinished
+batch re-runs from iteration 0 with its re-derived seed, which
+reproduces exactly the prefix it had already executed — so a
+kill/resume cycle finds the same crash set as an uninterrupted run
+without having to serialize RNG or corpus state mid-stream.  Partials
+exist for *reporting* (the SIGINT partial merge), not for skipping work.
 
 Fault injection (tests, the CI resilience job) goes through
 :class:`FaultPlan` or the ``REPRO_INJECT_FAULT`` environment variable
@@ -73,7 +75,7 @@ import signal
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.campaign_api import (
     BatchSpec,
@@ -85,9 +87,10 @@ from repro.campaign_api import (
     spec_from_dict,
     spec_to_dict,
 )
-from repro.errors import ConfigError
+from repro.errors import ConfigError, check_version
 from repro.fuzzer.kcov import CoverageMap
 from repro.fuzzer.parallel import (
+    CHECKPOINT_VERSION,
     ShardResult,
     campaign_image,
     campaign_pool,
@@ -109,9 +112,11 @@ from repro.trace import (
 #: Worker deaths attributed to one iteration before it is quarantined.
 POISON_THRESHOLD = 2
 
-#: Version of the on-disk checkpoint schema (v2: nested WorkerPolicy,
-#: batch plan + claim log in the manifest, coverage as bitmap hex).
-CHECKPOINT_VERSION = 2
+#: Delay before a failed batch's first retry (seconds); each further
+#: retry doubles it, up to :data:`BACKOFF_CAP`.
+RETRY_BACKOFF = 0.25
+BACKOFF_CAP = 5.0
+
 CHECKPOINT_KIND = "ozz-campaign-checkpoint"
 MANIFEST_NAME = "campaign.json"
 
@@ -363,11 +368,6 @@ class _BatchState:
         return self.result is not None or self.failure is not None
 
 
-# Historical name (pre-pool, one static shard per worker); the batch is
-# the unit of supervision now but the tracked state is the same shape.
-_ShardState = _BatchState
-
-
 class CampaignController:
     """Thread-safe control seam for a supervisor loop run off-thread.
 
@@ -383,8 +383,7 @@ class CampaignController:
       (total/done/failed batch counts plus per-batch last iteration),
       refreshed by the supervisor on every poll tick.
 
-    Pass it to :func:`run_supervised` via ``controller=``; it composes
-    with an explicit ``stop_when`` predicate (either may stop the run).
+    Pass it to :func:`run_supervised` via ``controller=``.
     """
 
     def __init__(self) -> None:
@@ -439,18 +438,6 @@ class _Worker:
         self.taskq = taskq
         self.current: Optional[int] = None  # batch index being executed
         self.ready = True  # a fresh worker accepts its first task at once
-
-
-@dataclass
-class SupervisorReport:
-    """Raw supervisor output, before the campaign-level merge."""
-
-    shards: List[ShardResult]
-    retries: Tuple[RetryEvent, ...]
-    quarantined: Tuple[QuarantinedInput, ...]
-    failed_shards: Tuple[ShardFailure, ...]
-    interrupted: bool
-    seconds: float
 
 
 @dataclass
@@ -569,11 +556,11 @@ def write_checkpoint(
 def load_checkpoint(dirpath: str) -> CheckpointState:
     """Load a checkpoint directory written by a pooled campaign.
 
-    Reads both schema v2 and v1 directories — the spec reader falls back
-    to flat worker-knob keys and batch results accept v1 address-list
-    coverage.  The returned spec has ``checkpoint_dir`` pointed back at
-    ``dirpath`` so the resumed campaign keeps checkpointing in place
-    (directories move; the stored path is advisory).
+    Reads schema :data:`CHECKPOINT_VERSION` only; any other version
+    raises :class:`ConfigError`.  The returned spec has ``checkpoint_dir``
+    pointed back at ``dirpath`` so the resumed campaign keeps
+    checkpointing in place (directories move; the stored path is
+    advisory).
     """
     manifest_path = os.path.join(dirpath, MANIFEST_NAME)
     try:
@@ -584,10 +571,9 @@ def load_checkpoint(dirpath: str) -> CheckpointState:
                           f"(missing {MANIFEST_NAME})")
     if manifest.get("kind") != CHECKPOINT_KIND:
         raise ConfigError(f"{manifest_path} is not a campaign checkpoint")
-    if manifest.get("version") not in (1, CHECKPOINT_VERSION):
-        raise ConfigError(
-            f"unsupported checkpoint version {manifest.get('version')!r}"
-        )
+    check_version(
+        "checkpoint", manifest.get("version"), CHECKPOINT_VERSION, ConfigError
+    )
     spec_payload = dict(manifest["spec"])
     spec_payload["checkpoint_dir"] = dirpath
     spec = spec_from_dict(spec_payload)
@@ -606,109 +592,55 @@ def load_checkpoint(dirpath: str) -> CheckpointState:
     )
 
 
-def run_supervised_shards(
-    spec: CampaignSpec,
-    *,
-    faults: Sequence[FaultPlan] = (),
-    sink: TraceSink = NULL_SINK,
-    resume_state: Optional[CheckpointState] = None,
-    retry_backoff: float = 0.25,
-    backoff_cap: float = 5.0,
-    poison_threshold: int = POISON_THRESHOLD,
-    stop_when: Optional[Callable[[Dict[int, "_BatchState"]], bool]] = None,
-    controller: Optional[CampaignController] = None,
-) -> SupervisorReport:
-    """Run a campaign's batch plan on the worker pool; raw-report entry.
+def _retry_delay(attempt: int) -> float:
+    """Backoff before retry ``attempt`` (1 = first retry): doubling, capped."""
+    return min(BACKOFF_CAP, RETRY_BACKOFF * (2 ** (attempt - 1)))
 
-    ``faults`` injects worker misbehaviour (tests / CI); entries from
-    the ``REPRO_INJECT_FAULT`` environment variable are appended.
-    ``stop_when`` is a per-loop predicate over the internal batch states
-    that requests a clean early stop — the programmatic twin of the
-    ``SIGINT`` handler, used to test the partial-merge path
-    deterministically.  ``controller`` is the thread-safe version of the
-    same seam (:class:`CampaignController`): the loop refreshes its
-    progress snapshot every poll tick and honours its stop request,
-    which is how ``repro serve`` pauses/cancels a backgrounded campaign.
+
+class _Plan:
+    """The supervisor's bookkeeping for one campaign's batch plan.
+
+    Holds the per-batch states plus the retry, quarantine and claim logs,
+    and owns the policy that moves them: claiming a batch, accepting a
+    worker message (dropping stale ones), retrying a failed attempt with
+    capped exponential backoff, quarantining a poisoned input, abandoning
+    a batch that exhausts ``max_retries``, and checkpointing.  It touches
+    no process or queue — :func:`run_supervised` owns those — so the
+    policy is testable without workers.
     """
-    global _PREBUILT
-    faults = tuple(faults) + faults_from_env()
-    start = time.perf_counter()
-    method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-    ctx = mp.get_context(method)
-    msgq = ctx.Queue()
 
-    states: Dict[int, _BatchState] = {
-        b.index: _BatchState(b) for b in spec.batches()
-    }
-    retries: List[RetryEvent] = []
-    quarantined_log: List[QuarantinedInput] = []
-    assignments: List[dict] = []
-    if resume_state is not None:
-        for shard, result in resume_state.completed.items():
-            if shard in states:
-                states[shard].result = result
-        for q in resume_state.quarantined:
-            if q.shard in states:
-                states[q.shard].quarantined.add(q.iteration)
-            quarantined_log.append(q)
-        retries.extend(resume_state.retries)
+    def __init__(
+        self,
+        spec: CampaignSpec,
+        sink: TraceSink = NULL_SINK,
+        resume_state: Optional[CheckpointState] = None,
+    ) -> None:
+        self.spec = spec
+        self.sink = sink
+        self.states: Dict[int, _BatchState] = {
+            b.index: _BatchState(b) for b in spec.batches()
+        }
+        self.retries: List[RetryEvent] = []
+        self.quarantined: List[QuarantinedInput] = []
+        self.assignments: List[dict] = []
+        self.interrupted = False
+        if resume_state is not None:
+            for shard, result in resume_state.completed.items():
+                if shard in self.states:
+                    self.states[shard].result = result
+            for q in resume_state.quarantined:
+                if q.shard in self.states:
+                    self.states[q.shard].quarantined.add(q.iteration)
+                self.quarantined.append(q)
+            self.retries.extend(resume_state.retries)
 
-    workers: Dict[int, _Worker] = {}
-    wid_counter = itertools.count()
-    interrupted = [False]
+    def unfinished(self) -> List[_BatchState]:
+        return [st for st in self.states.values() if not st.finished]
 
-    def _on_sigint(signum, frame):
-        interrupted[0] = True
-
-    def _spawn_worker() -> None:
-        wid = next(wid_counter)
-        taskq = ctx.Queue()
-        proc = ctx.Process(
-            target=_pool_worker_main,
-            args=(wid, spec, taskq, msgq),
-            daemon=True,
-        )
-        proc.start()
-        workers[wid] = _Worker(wid, proc, taskq)
-
-    def _assign(w: _Worker, st: _BatchState) -> None:
-        batch_faults = tuple(
-            f
-            for f in faults
-            if f.shard == st.index and (st.attempt == 0 or f.persistent)
-        )
-        w.taskq.put(
-            (st.batch, st.attempt, tuple(sorted(st.quarantined)), batch_faults)
-        )
-        w.current = st.index
-        w.ready = False
-        stolen_from = st.last_worker
-        st.assigned_to = w.wid
-        st.last_worker = w.wid
-        st.last_hb = time.monotonic()
-        st.last_iteration = -1
-        st.restart_at = None
-        assignments.append(
-            {"batch": st.index, "attempt": st.attempt, "worker": w.wid}
-        )
-        if sink.active:
-            sink.emit(ShardStarted(shard=st.index, seed=st.seed, attempt=st.attempt))
-            sink.emit(
-                BatchClaimed(worker=w.wid, batch=st.index, attempt=st.attempt)
-            )
-            if stolen_from is not None and stolen_from != w.wid:
-                sink.emit(
-                    BatchStolen(
-                        worker=w.wid,
-                        batch=st.index,
-                        from_worker=stolen_from,
-                        attempt=st.attempt,
-                    )
-                )
-
-    def _next_eligible(now: float) -> Optional[_BatchState]:
-        for index in sorted(states):
-            st = states[index]
+    def next_eligible(self, now: float) -> Optional[_BatchState]:
+        """The lowest-indexed unclaimed batch whose backoff has elapsed."""
+        for index in sorted(self.states):
+            st = self.states[index]
             if st.finished or st.assigned_to is not None:
                 continue
             if st.restart_at is not None and now < st.restart_at:
@@ -716,21 +648,82 @@ def run_supervised_shards(
             return st
         return None
 
-    def _checkpoint() -> None:
-        if spec.checkpoint_dir is not None:
-            write_checkpoint(
-                spec.checkpoint_dir,
-                spec,
-                states,
-                retries,
-                quarantined_log,
-                interrupted[0],
-                sink,
-                assignments=assignments,
-            )
+    def claim(
+        self, st: _BatchState, wid: int, faults: Sequence[FaultPlan], now: float
+    ) -> tuple:
+        """Hand ``st`` to worker ``wid``; returns the task to send it."""
+        batch_faults = tuple(
+            f
+            for f in faults
+            if f.shard == st.index and (st.attempt == 0 or f.persistent)
+        )
+        stolen_from = st.last_worker
+        st.assigned_to = wid
+        st.last_worker = wid
+        st.last_hb = now
+        st.last_iteration = -1
+        st.restart_at = None
+        self.assignments.append(
+            {"batch": st.index, "attempt": st.attempt, "worker": wid}
+        )
+        sink = self.sink
+        if sink.active:
+            sink.emit(ShardStarted(shard=st.index, seed=st.seed, attempt=st.attempt))
+            sink.emit(BatchClaimed(worker=wid, batch=st.index, attempt=st.attempt))
+            if stolen_from is not None and stolen_from != wid:
+                sink.emit(
+                    BatchStolen(
+                        worker=wid,
+                        batch=st.index,
+                        from_worker=stolen_from,
+                        attempt=st.attempt,
+                    )
+                )
+        return (st.batch, st.attempt, tuple(sorted(st.quarantined)), batch_faults)
 
-    def _fail_attempt(st: _BatchState, reason: str) -> None:
-        retries.append(
+    def handle(self, kind: str, index: int, attempt: int, payload, now: float) -> None:
+        """Fold one batch message from a worker into the plan.
+
+        A message for an unknown or finished batch, or carrying a
+        superseded attempt number, is stale and dropped.
+        """
+        st = self.states.get(index)
+        if st is None or attempt != st.attempt or st.finished:
+            return
+        st.last_hb = now
+        if kind == "hb":
+            st.last_iteration = payload
+            if self.sink.active:
+                self.sink.emit(ShardHeartbeat(shard=st.index, iteration=payload))
+        elif kind == "skipped":
+            pass  # liveness only; the quarantined input was not run
+        elif kind == "partial":
+            result, delta = pickle.loads(payload)
+            st.cov_acc.merge(CoverageMap.from_bytes(delta))
+            result.coverage = st.cov_acc.copy()
+            st.partial = result
+            self.checkpoint()
+        elif kind == "done":
+            result, delta = pickle.loads(payload)
+            st.cov_acc.merge(CoverageMap.from_bytes(delta))
+            result.coverage = st.cov_acc
+            st.result = result
+            st.partial = None
+            st.assigned_to = None
+            self.checkpoint()
+        elif kind == "error":
+            self.fail_attempt(st, payload, now)
+
+    def fail_attempt(self, st: _BatchState, reason: str, now: float) -> None:
+        """Record a failed attempt of ``st``, then retry or abandon it.
+
+        The death counts against the last iteration the worker reported;
+        :data:`POISON_THRESHOLD` deaths on one iteration quarantine it.
+        The batch restarts after :func:`_retry_delay` unless it has used
+        ``max_retries`` restarts, in which case it fails permanently.
+        """
+        sink = self.sink
+        self.retries.append(
             RetryEvent(
                 shard=st.index,
                 attempt=st.attempt,
@@ -744,12 +737,13 @@ def run_supervised_shards(
             n = st.deaths[st.last_iteration] = (
                 st.deaths.get(st.last_iteration, 0) + 1
             )
-            if n >= poison_threshold and st.last_iteration not in st.quarantined:
+            if n >= POISON_THRESHOLD and st.last_iteration not in st.quarantined:
                 st.quarantined.add(st.last_iteration)
-                q = QuarantinedInput(
-                    shard=st.index, iteration=st.last_iteration, deaths=n
+                self.quarantined.append(
+                    QuarantinedInput(
+                        shard=st.index, iteration=st.last_iteration, deaths=n
+                    )
                 )
-                quarantined_log.append(q)
                 if sink.active:
                     sink.emit(
                         InputQuarantined(
@@ -760,14 +754,98 @@ def run_supervised_shards(
         st.cov_acc = CoverageMap()
         st.assigned_to = None
         st.attempt += 1
-        if st.attempt > spec.max_retries:
+        if st.attempt > self.spec.max_retries:
             st.failure = ShardFailure(
                 shard=st.index, attempts=st.attempt, reason=reason
             )
-            _checkpoint()
+            self.checkpoint()
         else:
-            delay = min(backoff_cap, retry_backoff * (2 ** (st.attempt - 1)))
-            st.restart_at = time.monotonic() + delay
+            st.restart_at = now + _retry_delay(st.attempt)
+
+    def checkpoint(self) -> None:
+        if self.spec.checkpoint_dir is not None:
+            write_checkpoint(
+                self.spec.checkpoint_dir,
+                self.spec,
+                self.states,
+                self.retries,
+                self.quarantined,
+                self.interrupted,
+                self.sink,
+                assignments=self.assignments,
+            )
+
+    def shards(self) -> List[ShardResult]:
+        """Batch results to merge, ordered by batch index.
+
+        An interrupted run also merges the freshest mid-run snapshot of
+        every batch that was cut short (the clean partial merge).
+        """
+        return [
+            st.result if st.result is not None else st.partial
+            for _, st in sorted(self.states.items())
+            if st.result is not None or (self.interrupted and st.partial is not None)
+        ]
+
+    def failures(self) -> Tuple[ShardFailure, ...]:
+        return tuple(
+            self.states[k].failure
+            for k in sorted(self.states)
+            if self.states[k].failure is not None
+        )
+
+
+def run_supervised(
+    spec: CampaignSpec,
+    *,
+    faults: Sequence[FaultPlan] = (),
+    sink: TraceSink = NULL_SINK,
+    resume_state: Optional[CheckpointState] = None,
+    controller: Optional[CampaignController] = None,
+) -> CampaignResult:
+    """Run a campaign's batch plan on the worker pool and merge the result.
+
+    ``faults`` injects worker misbehaviour (tests / CI); entries from
+    the ``REPRO_INJECT_FAULT`` environment variable are appended.
+    ``resume_state`` (from :func:`load_checkpoint`) skips the batches it
+    already completed.  ``controller`` (:class:`CampaignController`) is
+    the programmatic twin of ``SIGINT``: the loop refreshes its progress
+    snapshot every poll tick and honours its stop request, which is how
+    ``repro serve`` pauses/cancels a backgrounded campaign.
+
+    The bookkeeping lives in :class:`_Plan`; this loop only spawns
+    workers, assigns them batches, polls the message queue, checks
+    worker health and tears the pool down.
+    """
+    global _PREBUILT
+    faults = tuple(faults) + faults_from_env()
+    start = time.perf_counter()
+    method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
+    ctx = mp.get_context(method)
+    msgq = ctx.Queue()
+    plan = _Plan(spec, sink, resume_state)
+    states = plan.states
+    workers: Dict[int, _Worker] = {}
+    wid_counter = itertools.count()
+
+    def _on_sigint(signum, frame):
+        plan.interrupted = True
+
+    def _spawn_worker() -> None:
+        wid = next(wid_counter)
+        taskq = ctx.Queue()
+        proc = ctx.Process(
+            target=_pool_worker_main,
+            args=(wid, spec, taskq, msgq),
+            daemon=True,
+        )
+        proc.start()
+        workers[wid] = _Worker(wid, proc, taskq)
+
+    def _assign(w: _Worker, st: _BatchState) -> None:
+        w.taskq.put(plan.claim(st, w.wid, faults, time.monotonic()))
+        w.current = st.index
+        w.ready = False
 
     def _handle(msg) -> None:
         kind, a, b, payload = msg
@@ -776,33 +854,8 @@ def run_supervised_shards(
             if w is not None:
                 w.ready = True
                 w.current = None
-            return
-        st = states.get(a)
-        if st is None or b != st.attempt or st.finished:
-            return  # stale message from a superseded attempt
-        st.last_hb = time.monotonic()
-        if kind == "hb":
-            st.last_iteration = payload
-            if sink.active:
-                sink.emit(ShardHeartbeat(shard=st.index, iteration=payload))
-        elif kind == "skipped":
-            pass  # liveness only; the quarantined input was not run
-        elif kind == "partial":
-            result, delta = pickle.loads(payload)
-            st.cov_acc.merge(CoverageMap.from_bytes(delta))
-            result.coverage = st.cov_acc.copy()
-            st.partial = result
-            _checkpoint()
-        elif kind == "done":
-            result, delta = pickle.loads(payload)
-            st.cov_acc.merge(CoverageMap.from_bytes(delta))
-            result.coverage = st.cov_acc
-            st.result = result
-            st.partial = None
-            st.assigned_to = None
-            _checkpoint()
-        elif kind == "error":
-            _fail_attempt(st, payload)
+        else:
+            plan.handle(kind, a, b, payload, time.monotonic())
 
     def _drain_available() -> None:
         while True:
@@ -853,7 +906,7 @@ def run_supervised_shards(
         needs_worker = any(
             not st.finished and st.assigned_to is None for st in states.values()
         )
-        if needs_worker and not interrupted[0]:
+        if needs_worker and not plan.interrupted:
             _spawn_worker()
 
     in_main_thread = threading.current_thread() is threading.main_thread()
@@ -861,7 +914,7 @@ def run_supervised_shards(
     if in_main_thread:
         previous_handler = signal.signal(signal.SIGINT, _on_sigint)
     try:
-        unfinished = [st for st in states.values() if not st.finished]
+        unfinished = plan.unfinished()
         if unfinished:
             if method == "fork":
                 # Build the kernel image once; forked workers inherit it
@@ -870,17 +923,14 @@ def run_supervised_shards(
             for _ in range(min(spec.jobs, len(unfinished))):
                 _spawn_worker()
 
-        while not interrupted[0]:
-            unfinished = [st for st in states.values() if not st.finished]
-            if not unfinished:
-                break
+        while not plan.interrupted and plan.unfinished():
             _poll(_POLL_INTERVAL)
             now = time.monotonic()
             # Feed ready workers from the pending end of the plan.
             for w in list(workers.values()):
                 if not w.ready:
                     continue
-                st = _next_eligible(now)
+                st = plan.next_eligible(now)
                 if st is None:
                     break
                 _assign(w, st)
@@ -898,8 +948,8 @@ def run_supervised_shards(
                             and st.attempt == attempt
                             and st.assigned_to == w.wid
                         ):
-                            _fail_attempt(
-                                st, f"died (exit {w.proc.exitcode})"
+                            plan.fail_attempt(
+                                st, f"died (exit {w.proc.exitcode})", time.monotonic()
                             )
                     _retire_worker(w)
                 elif (
@@ -913,14 +963,12 @@ def run_supervised_shards(
                     _drain_available()  # heartbeats sent before it wedged
                     st = states[w.current]
                     if not st.finished and st.assigned_to == w.wid:
-                        _fail_attempt(st, "hung")
+                        plan.fail_attempt(st, "hung", time.monotonic())
                     _retire_worker(w)
             if controller is not None:
                 controller.observe(states)
                 if controller.stop_requested:
-                    interrupted[0] = True
-            if stop_when is not None and stop_when(states):
-                interrupted[0] = True
+                    plan.interrupted = True
     finally:
         if in_main_thread and previous_handler is not None:
             signal.signal(signal.SIGINT, previous_handler)
@@ -930,74 +978,24 @@ def run_supervised_shards(
             except Exception:
                 pass
         for w in workers.values():
-            w.proc.join(timeout=0.05 if interrupted[0] else 0.5)
+            w.proc.join(timeout=0.05 if plan.interrupted else 0.5)
             if w.proc.is_alive():
                 _kill(w.proc)
         _PREBUILT = None
 
-    if interrupted[0]:
+    if plan.interrupted:
         _drain_available()  # late partials from the workers just killed
 
     seconds = time.perf_counter() - start
-    _checkpoint()
+    plan.checkpoint()
     if controller is not None:
         controller.observe(states)  # final snapshot reflects the drained plan
-
-    if interrupted[0]:
-        # Clean partial merge: completed results plus the freshest
-        # mid-run snapshot of every batch that was cut short.
-        shards = [
-            st.result or st.partial
-            for st in states.values()
-            if st.result is not None or st.partial is not None
-        ]
-    else:
-        shards = [st.result for st in states.values() if st.result is not None]
-    shards.sort(key=lambda s: s.shard)
-    return SupervisorReport(
-        shards=shards,
-        retries=tuple(retries),
-        quarantined=tuple(quarantined_log),
-        failed_shards=tuple(
-            states[k].failure
-            for k in sorted(states)
-            if states[k].failure is not None
-        ),
-        interrupted=interrupted[0],
-        seconds=seconds,
-    )
-
-
-def run_supervised(
-    spec: CampaignSpec,
-    *,
-    faults: Sequence[FaultPlan] = (),
-    sink: TraceSink = NULL_SINK,
-    resume_state: Optional[CheckpointState] = None,
-    retry_backoff: float = 0.25,
-    backoff_cap: float = 5.0,
-    poison_threshold: int = POISON_THRESHOLD,
-    stop_when: Optional[Callable[[Dict[int, "_BatchState"]], bool]] = None,
-    controller: Optional[CampaignController] = None,
-) -> CampaignResult:
-    """Pooled campaign execution, merged to a :class:`CampaignResult`."""
-    report = run_supervised_shards(
-        spec,
-        faults=faults,
-        sink=sink,
-        resume_state=resume_state,
-        retry_backoff=retry_backoff,
-        backoff_cap=backoff_cap,
-        poison_threshold=poison_threshold,
-        stop_when=stop_when,
-        controller=controller,
-    )
     return merge_shards(
         spec,
-        report.shards,
-        report.seconds,
-        retries=report.retries,
-        quarantined=report.quarantined,
-        failed_shards=report.failed_shards,
-        interrupted=report.interrupted,
+        plan.shards(),
+        seconds,
+        retries=tuple(plan.retries),
+        quarantined=tuple(plan.quarantined),
+        failed_shards=plan.failures(),
+        interrupted=plan.interrupted,
     )

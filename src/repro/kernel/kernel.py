@@ -168,7 +168,6 @@ class Kernel(Machine):
             self.register_helper(name, fn)
         self._boot()
         ENGINE_COUNTERS.boots += 1
-        self.engine_counters.boots += 1
         self._boot_snapshot = None
         self._boot_trace = self.trace  # construction-time sink, == oemu's
         if image.config.snapshot_reset:
@@ -212,8 +211,6 @@ class Kernel(Machine):
         self.trace = self._boot_trace
         ENGINE_COUNTERS.resets += 1
         ENGINE_COUNTERS.dirty_pages_restored += restored
-        self.engine_counters.resets += 1
-        self.engine_counters.dirty_pages_restored += restored
         return restored
 
     def capture_prefix(self):
@@ -231,7 +228,6 @@ class Kernel(Machine):
 
         snap = capture_prefix(self)
         ENGINE_COUNTERS.prefix_snapshots += 1
-        self.engine_counters.prefix_snapshots += 1
         return snap
 
     # -- data access convenience ---------------------------------------------

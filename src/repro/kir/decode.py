@@ -707,14 +707,9 @@ class BoundProgram:
 
     def __init__(self, machine) -> None:
         self.machine = machine
-        had_cache = getattr(machine.program, _CACHE_ATTR, None) is not None
         self.decoded = decode_program(machine.program)
         self.by_func: Dict[int, List[OpClosure]] = {}
         self.addrs = self.decoded.addrs
-        if had_cache:
-            counters = getattr(machine, "engine_counters", None)
-            if counters is not None:
-                counters.decode_cache_hits += 1
 
     def bind_function(self, function: Function) -> List[OpClosure]:
         m = self.machine
@@ -739,7 +734,4 @@ class BoundProgram:
         from repro.oemu.profiler import ENGINE_COUNTERS
 
         ENGINE_COUNTERS.functions_bound += 1
-        counters = getattr(m, "engine_counters", None)
-        if counters is not None:
-            counters.functions_bound += 1
         return ops

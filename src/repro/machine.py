@@ -33,7 +33,7 @@ from repro.mem.shadow import ShadowMemory
 from repro.mem.store_history import StoreHistory
 from repro.oemu.core import Oemu
 from repro.oemu.deps import DependencyTracker
-from repro.oemu.profiler import EngineCounters, Profiler
+from repro.oemu.profiler import Profiler
 from repro.oracles.assertions import Assertions
 from repro.oracles.fault import FaultOracle
 from repro.oracles.kasan import Kasan
@@ -98,10 +98,6 @@ class Machine:
         self.deps: Optional[DependencyTracker] = DependencyTracker() if track_deps else None
         self._kcov = None  # optional repro.fuzzer.kcov.KCov
         self.helpers: Dict[str, Callable] = {}
-        #: Per-machine engine telemetry; multiprocess campaign workers
-        #: report these (the module-global ENGINE_COUNTERS would silently
-        #: drop increments made in worker processes).
-        self.engine_counters = EngineCounters()
         self.interp = Interpreter(self, engine=engine)
         self.engine = self.interp.engine
         self._next_thread = 0

@@ -234,9 +234,8 @@ class EngineCounters:
             setattr(self, f.name, 0)
 
 
-#: Module singleton, kept for in-process tooling (benchmarks, tests).
-#: Multiprocess campaign workers additionally keep per-machine counters
-#: (``Machine.engine_counters``) and ship per-batch deltas through
-#: ``ShardResult.engine_counters`` so nothing is lost across process
-#: boundaries.
+#: Module singleton: the one engine counter set.  Campaign batches
+#: snapshot it before and diff it after (:func:`repro.fuzzer.parallel.run_batch`)
+#: and ship the delta in ``ShardResult.engine_counters``, so counts made
+#: in worker processes reach the merged ``CampaignResult``.
 ENGINE_COUNTERS = EngineCounters()

@@ -3,7 +3,7 @@
 Acceptance (ISSUE 7): the race engine flags every seeded bug — including
 every lock-protected race — interprocedurally with zero executions, each
 finding carrying a concrete syscall-entry witness path; schema v2
-round-trips; the v1 reader path still works; SARIF output is stable.
+round-trips; SARIF output is stable.
 """
 
 import json
@@ -215,7 +215,7 @@ class TestLocksets:
 
 
 # ---------------------------------------------------------------------------
-# Report schema: v2 round-trip, v1 reader, SARIF.
+# Report schema: v2 round-trip, SARIF.
 # ---------------------------------------------------------------------------
 
 
@@ -236,22 +236,6 @@ class TestSchema:
         assert [r.to_dict() for r in loaded.races] == [
             r.to_dict() for r in report.races
         ]
-
-    def test_v1_reader_still_works(self):
-        v1 = {
-            "version": 1,
-            "counts": {"use-before-def": 0, "missing-barrier": 1,
-                       "lock-pairing": 0},
-            "findings": [
-                {"check": "missing-barrier", "kind": "st",
-                 "subsystem": "vlan", "function": "sys_vlan_add",
-                 "index": 3, "message": "stores may reorder"},
-            ],
-        }
-        loaded = LintReport.from_json_dict(v1)
-        assert len(loaded.findings) == 1
-        assert loaded.findings[0].details is None
-        assert loaded.races == []
 
     def test_unknown_version_rejected(self):
         with pytest.raises(ValueError, match="version"):

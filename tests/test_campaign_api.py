@@ -1,5 +1,7 @@
 """Tests for the unified campaign API and sharded parallel execution."""
 
+import json
+
 import pytest
 
 from repro.campaign_api import (
@@ -160,8 +162,6 @@ class TestJsonRoundTrip:
         assert restored == serial_result  # crashdb excluded from equality
 
     def test_rejects_unknown_version(self, serial_result):
-        import json
-
         payload = json.loads(serial_result.to_json())
         payload["version"] = 999
         with pytest.raises(ValueError):
@@ -171,3 +171,80 @@ class TestJsonRoundTrip:
         text = serial_result.summary()
         assert "unique crash titles" in text
         assert "[t4_watch_queue]" in text
+
+
+# -- schema versions -----------------------------------------------------------
+#
+# Each campaign artifact reader reads exactly one schema version.  A case
+# builds a payload of the given version and returns ``(read, found)``:
+# ``read()`` must raise, and ``found`` is how the message names what it
+# found.  Batch files carry no version field of their own (the manifest's
+# covers them): v1 stored coverage as an address list, so that case
+# names the coverage type it found.
+
+
+def _checkpoint_case(tmp_path, version):
+    from repro.fuzzer.supervisor import (
+        CHECKPOINT_KIND,
+        MANIFEST_NAME,
+        load_checkpoint,
+    )
+
+    manifest = {"kind": CHECKPOINT_KIND, "version": version, "spec": {}}
+    (tmp_path / MANIFEST_NAME).write_text(json.dumps(manifest))
+    return (lambda: load_checkpoint(str(tmp_path))), f"version {version}"
+
+
+def _result_case(tmp_path, version):
+    from repro.fuzzer.parallel import merge_shards
+
+    payload = json.loads(merge_shards(CampaignSpec(), [], 0.0).to_json())
+    payload["version"] = version
+    text = json.dumps(payload)
+    return (lambda: CampaignResult.from_json(text)), f"version {version}"
+
+
+def _lint_case(tmp_path, version):
+    from repro.analysis.lint import LintReport
+
+    payload = {"version": version, "counts": {}, "findings": []}
+    return (lambda: LintReport.from_json_dict(payload)), f"version {version}"
+
+
+def _batch_case(tmp_path, version):
+    from repro.fuzzer.kcov import CoverageMap
+    from repro.fuzzer.parallel import ShardResult
+
+    payload = ShardResult(
+        shard=0,
+        seed=1,
+        iterations=0,
+        stats=FuzzStats(),
+        crashdb=CrashDB(),
+        coverage=CoverageMap.from_addrs({4096}),
+        seconds=0.0,
+    ).to_json_dict()
+    payload["coverage"] = [4096] if version == 1 else {"version": version}
+    found = type(payload["coverage"]).__name__
+    return (lambda: ShardResult.from_json_dict(payload)), found
+
+
+@pytest.mark.parametrize("version", [1, 3])
+@pytest.mark.parametrize(
+    "case, error",
+    [
+        (_checkpoint_case, ConfigError),
+        (_result_case, ValueError),
+        (_lint_case, ValueError),
+        (_batch_case, ConfigError),
+    ],
+    ids=["checkpoint", "campaign-result", "lint-report", "batch-result"],
+)
+def test_readers_reject_other_schema_versions(tmp_path, case, error, version):
+    read, found = case(tmp_path, version)
+    with pytest.raises(error) as excinfo:
+        read()
+    message = str(excinfo.value)
+    assert message.startswith("unsupported ")
+    assert found in message
+    assert "this build reads" in message and "version 2" in message

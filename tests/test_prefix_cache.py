@@ -36,7 +36,7 @@ from repro.fuzzer.sti import STI, profile_sti, resolve_args
 from repro.fuzzer.templates import seed_inputs
 from repro.kernel.kernel import Kernel, KernelImage, KernelPool
 from repro.kir.insn import BarrierKind
-from repro.oemu.profiler import AccessEvent, Profiler
+from repro.oemu.profiler import ENGINE_COUNTERS, AccessEvent, Profiler
 from repro.trace.replayer import CrashArtifact, replay_artifact
 
 SAMPLE_CRASH = os.path.join(
@@ -102,11 +102,11 @@ class TestPositioningEquivalence:
         depth = len(sti) - 1
         kernel, retvals1 = cache.position(depth)
         first = _world(kernel)
-        hits_before = kernel.engine_counters.prefix_hits
+        before = ENGINE_COUNTERS.snapshot()
         kernel, retvals2 = cache.position(depth)
         assert _world(kernel) == first
         assert retvals1 == retvals2
-        assert kernel.engine_counters.prefix_hits == hits_before + 1
+        assert ENGINE_COUNTERS.diff(before)["prefix_hits"] == 1
 
     def test_dirty_tracking_survives_restore_cycles(self, images):
         """boot → prefix → boot → prefix again: the delta overlay must
@@ -130,11 +130,12 @@ class TestPositioningEquivalence:
         cache = PrefixCache(KernelPool(image), sti)
         cache.position(1)
         assert sorted(cache._snaps) == [1]
+        before = ENGINE_COUNTERS.snapshot()
         kernel, _ = cache.position(len(sti))
         assert sorted(cache._snaps) == list(range(1, len(sti) + 1))
         assert cache.depth == len(sti)
         # The extension restored the depth-1 snapshot (a partial hit).
-        assert kernel.engine_counters.prefix_hits >= 1
+        assert ENGINE_COUNTERS.diff(before)["prefix_hits"] == 1
 
 
 class TestPoisonedPrefix:
@@ -186,8 +187,6 @@ class TestCampaignEquivalence:
 
     def test_fuzzer_counters_flow_from_cache(self):
         """In-process campaign: module counters pick up hits/snapshots."""
-        from repro.oemu.profiler import ENGINE_COUNTERS
-
         base = ENGINE_COUNTERS.snapshot()
         fuzzer = OzzFuzzer(KernelImage(KernelConfig()), seed=5)
         fuzzer.run(20)

@@ -340,6 +340,26 @@ class TestApi:
         assert owned.status == 400
         assert "service-owned" in owned.json()["error"]
 
+    @pytest.mark.parametrize(
+        "knobs",
+        [{"jobs": 2, "max_retries": 1}, {"policy": {"jobs": 2, "max_retries": 1}}],
+        ids=["flat", "nested-policy"],
+    )
+    def test_submit_worker_knobs(self, tmp_path, knobs):
+        """The two accepted shapes of the worker knobs: flat (the
+        dashboard form) and nested under "policy" (the stored form)."""
+        svc = CampaignService(str(tmp_path), max_concurrent=1)
+        app = ServeApp(svc)
+        resp = dispatch(app, "POST", "/api/campaigns", dict(TINY, **knobs))
+        assert resp.status == 200
+        cid = resp.json()["campaign_id"]
+        detail = dispatch(app, "GET", f"/api/campaigns/{cid}").json()
+        assert detail["spec"]["policy"]["jobs"] == 2
+        assert detail["spec"]["policy"]["max_retries"] == 1
+        svc.cancel(cid)
+        svc.wait(cid, timeout=120)
+        svc.close()
+
     def test_oversized_body_413(self, served):
         _svc, app, _cid = served
         head = b"POST /api/campaigns HTTP/1.1\r\nContent-Length: %d\r\n\r\n"

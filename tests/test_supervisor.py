@@ -20,20 +20,23 @@ import pytest
 from repro.campaign_api import (
     CampaignSpec,
     QuarantinedInput,
+    ShardFailure,
     resume_campaign,
     run_campaign,
 )
 from repro.errors import ConfigError
-from repro.fuzzer.parallel import merge_shards, run_shard
+from repro.fuzzer.parallel import merge_shards, run_batch
 from repro.fuzzer.supervisor import (
     CHECKPOINT_VERSION,
     FAULT_ENV,
     MANIFEST_NAME,
+    POISON_THRESHOLD,
+    CampaignController,
     FaultPlan,
+    _Plan,
     faults_from_env,
     load_checkpoint,
     run_supervised,
-    run_supervised_shards,
     write_checkpoint,
 )
 from repro.trace import TraceRecorder
@@ -54,7 +57,7 @@ def clean_result():
 class TestCleanRuns:
     def test_supervised_matches_inprocess_merge(self, clean_result):
         spec = small_spec()
-        shards = [run_shard(spec, k) for k in range(spec.jobs)]
+        shards = [run_batch(spec, b) for b in spec.batches()]
         expected = merge_shards(spec, shards, seconds=0.0)
         assert clean_result == expected
 
@@ -106,7 +109,8 @@ class TestFaultRecovery:
         assert len(result.failed_shards) == 1
         assert result.failed_shards[0].shard == 1
         # Shard 0's work survived the other shard's permanent failure.
-        survivor = run_shard(small_spec(), 0)
+        spec = small_spec()
+        survivor = run_batch(spec, spec.batches()[0])
         assert result.stats.tests_run == survivor.stats.tests_run
         assert {s.shard for s in result.shards} == {0}
 
@@ -122,7 +126,8 @@ class TestFaultRecovery:
         assert len(result.retries) == 2
         # The quarantined iteration was skipped, so shard 1 ran one
         # fewer input than its clean twin.
-        clean1 = run_shard(small_spec(), 1)
+        spec = small_spec()
+        clean1 = run_batch(spec, spec.batches()[1])
         shard1 = [s for s in result.shards if s.shard == 1][0]
         assert shard1.tests_run < clean1.stats.tests_run
 
@@ -155,7 +160,7 @@ class TestCheckpointResume:
         run_supervised(spec)
         state = load_checkpoint(d)
         assert sorted(state.completed) == [0, 1]
-        resumed = run_supervised_shards(state.spec, resume_state=state)
+        resumed = run_supervised(state.spec, resume_state=state)
         assert [s.shard for s in resumed.shards] == [0, 1]
 
     def test_manifest_schema(self, tmp_path):
@@ -188,16 +193,19 @@ class TestCheckpointResume:
 
 
 class TestInterruption:
-    def test_stop_when_merges_partials(self):
+    def test_controller_stop_merges_partials(self):
         spec = small_spec(iterations=16, checkpoint_every=2)
 
-        def shard0_done_shard1_partial(states):
-            return states[0].result is not None and states[1].partial is not None
+        class StopAtShard1Partial(CampaignController):
+            def observe(self, states):
+                super().observe(states)
+                if states[0].result is not None and states[1].partial is not None:
+                    self.request_stop()
 
         result = run_supervised(
             spec,
             faults=(FaultPlan(shard=1, iteration=5, kind="hang"),),
-            stop_when=shard0_done_shard1_partial,
+            controller=StopAtShard1Partial(),
         )
         assert result.interrupted
         by_shard = {s.shard: s for s in result.shards}
@@ -303,6 +311,64 @@ class TestInterruption:
                 os.kill(pid, signal.SIGKILL)
 
 
+class TestPlanBookkeeping:
+    """The supervisor's retry, quarantine and claim policy, driven
+    directly: no worker processes, no queues."""
+
+    def test_backoff_doubles_then_caps(self):
+        plan = _Plan(small_spec(max_retries=10))
+        st = plan.states[0]
+        delays = []
+        for _ in range(7):
+            plan.fail_attempt(st, "hung", now=100.0)
+            delays.append(st.restart_at - 100.0)
+        assert delays == [0.25, 0.5, 1.0, 2.0, 4.0, 5.0, 5.0]
+
+    def test_quarantine_once_after_threshold_deaths(self):
+        plan = _Plan(small_spec(max_retries=10))
+        st = plan.states[1]
+        expected = QuarantinedInput(shard=1, iteration=3, deaths=POISON_THRESHOLD)
+        for deaths in range(1, POISON_THRESHOLD + 3):
+            plan.claim(st, wid=deaths, faults=(), now=0.0)
+            plan.handle("hb", 1, st.attempt, 3, now=0.0)
+            plan.fail_attempt(st, "died (exit 17)", now=0.0)
+            want = [expected] if deaths >= POISON_THRESHOLD else []
+            assert plan.quarantined == want
+        assert st.quarantined == {3}
+        assert len(plan.retries) == POISON_THRESHOLD + 2
+
+    def test_failure_after_max_retries_plus_one_attempts(self):
+        plan = _Plan(small_spec(max_retries=2))
+        st = plan.states[0]
+        for _ in range(3):
+            assert st.failure is None
+            plan.fail_attempt(st, "boom", now=0.0)
+        assert st.failure == ShardFailure(shard=0, attempts=3, reason="boom")
+        assert plan.failures() == (st.failure,)
+        assert plan.next_eligible(now=1e9) is plan.states[1]
+
+    def test_superseded_attempt_message_dropped(self):
+        plan = _Plan(small_spec())
+        st = plan.states[0]
+        plan.claim(st, wid=0, faults=(), now=0.0)
+        plan.fail_attempt(st, "hung", now=0.0)
+        plan.claim(st, wid=1, faults=(), now=1.0)
+        # Late messages from the killed attempt 0 change nothing.
+        plan.handle("hb", 0, 0, 7, now=2.0)
+        plan.handle("error", 0, 0, "late", now=2.0)
+        assert (st.attempt, st.last_iteration, st.last_hb) == (1, -1, 1.0)
+        assert len(plan.retries) == 1
+        plan.handle("hb", 0, 1, 4, now=3.0)
+        assert (st.last_iteration, st.last_hb) == (4, 3.0)
+
+    def test_next_eligible_skips_batch_in_backoff(self):
+        plan = _Plan(small_spec())
+        st0 = plan.states[0]
+        plan.fail_attempt(st0, "hung", now=10.0)
+        assert plan.next_eligible(now=10.1) is plan.states[1]
+        assert plan.next_eligible(now=10.25) is st0
+
+
 class TestFaultPlumbing:
     def test_faults_from_env_parsing(self):
         plans = faults_from_env("die:1:3,hang:0:2:persistent")
@@ -347,12 +413,15 @@ class TestTelemetryEvents:
 
 class TestSpecValidation:
     def test_bad_robustness_knobs_rejected(self):
-        with pytest.raises(ConfigError):
-            CampaignSpec(iterations=4, shard_timeout=0.0)
-        with pytest.raises(ConfigError):
-            CampaignSpec(iterations=4, max_retries=-1)
-        with pytest.raises(ConfigError):
-            CampaignSpec(iterations=4, checkpoint_every=0)
+        for bad in (
+            dict(jobs=0),
+            dict(batch_size=0),
+            dict(shard_timeout=0.0),
+            dict(max_retries=-1),
+            dict(checkpoint_every=0),
+        ):
+            with pytest.raises(ConfigError):
+                CampaignSpec(iterations=4, **bad)
 
     def test_spec_json_roundtrip_includes_robustness_knobs(self):
         spec = small_spec(checkpoint_dir="/tmp/x", checkpoint_every=5, max_retries=7)

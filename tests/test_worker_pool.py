@@ -3,8 +3,8 @@
 Complements ``test_supervisor.py`` (fault tolerance under the legacy
 one-batch-per-job plan) with the worker-pool surface this PR added:
 explicit batch plans shared across job counts, work-stealing under slow
-and dead workers, the ``WorkerPolicy`` sub-config, checkpoint schema v2
-with the v1 reader.
+and dead workers, checkpoint schema v2 with the worker knobs nested
+under ``"policy"``.
 """
 
 import json
@@ -17,20 +17,13 @@ from repro.campaign_api import (
     SEED_STRIDE,
     BatchSpec,
     CampaignSpec,
-    WorkerPolicy,
-    resume_campaign,
     run_campaign,
     spec_from_dict,
     spec_to_dict,
 )
 from repro.errors import ConfigError
-from repro.fuzzer.parallel import merge_shards, run_shard
-from repro.fuzzer.supervisor import (
-    MANIFEST_NAME,
-    FaultPlan,
-    load_checkpoint,
-    run_supervised,
-)
+from repro.fuzzer.parallel import merge_shards, run_batch
+from repro.fuzzer.supervisor import MANIFEST_NAME, FaultPlan, run_supervised
 from repro.trace import TraceRecorder
 
 
@@ -94,7 +87,7 @@ class TestPoolDeterminism:
 
     def test_merge_order_is_canonical(self):
         spec = pooled_spec(jobs=1, shard_timeout=None)
-        shards = [run_shard(spec, k) for k in range(len(spec.batches()))]
+        shards = [run_batch(spec, b) for b in spec.batches()]
         forward = merge_shards(spec, shards, seconds=0.0)
         backward = merge_shards(spec, list(reversed(shards)), seconds=0.0)
         assert forward == backward
@@ -140,109 +133,6 @@ class TestWorkStealing:
         assert any(e.batch == 1 for e in steals)
 
 
-class TestWorkerPolicy:
-    def test_json_roundtrip(self):
-        policy = WorkerPolicy(jobs=4, batch_size=16, shard_timeout=30.0, max_retries=5)
-        assert WorkerPolicy.from_dict(policy.to_dict()) == policy
-        assert json.loads(json.dumps(policy.to_dict())) == policy.to_dict()
-
-    def test_validation(self):
-        for bad in (
-            dict(jobs=0),
-            dict(batch_size=0),
-            dict(shard_timeout=0.0),
-            dict(max_retries=-1),
-        ):
-            with pytest.raises(ConfigError):
-                WorkerPolicy(**bad)
-
-    def test_spec_folds_policy(self):
-        policy = WorkerPolicy(jobs=3, batch_size=8, shard_timeout=9.0, max_retries=1)
-        spec = CampaignSpec(iterations=4, worker_policy=policy)
-        assert spec.policy == policy
-        assert (spec.jobs, spec.batch_size) == (3, 8)
-        assert (spec.shard_timeout, spec.max_retries) == (9.0, 1)
-
-    def test_policy_and_loose_knobs_are_one_source(self):
-        spec = CampaignSpec(iterations=4, jobs=2, batch_size=5)
-        assert spec.policy == WorkerPolicy(jobs=2, batch_size=5)
-        bumped = replace(spec, jobs=4)
-        assert bumped.policy.jobs == 4
-
-    def test_spec_dict_nests_policy(self):
-        spec = pooled_spec()
-        payload = spec_to_dict(spec)
-        assert payload["policy"] == spec.policy.to_dict()
-        assert "jobs" not in payload  # flat v1 keys are gone
-        assert spec_from_dict(payload) == spec
-
-    def test_spec_from_dict_reads_v1_flat_keys(self):
-        payload = spec_to_dict(CampaignSpec(iterations=6))
-        del payload["policy"]
-        payload.update(jobs=2, shard_timeout=4.0, max_retries=3)
-        spec = spec_from_dict(payload)
-        assert spec.policy == WorkerPolicy(
-            jobs=2, batch_size=None, shard_timeout=4.0, max_retries=3
-        )
-
-
-class TestCheckpointV1Compat:
-    def _downgrade(self, d):
-        """Rewrite a v2 checkpoint directory to the v1 on-disk schema."""
-        with open(os.path.join(d, MANIFEST_NAME)) as fh:
-            manifest = json.load(fh)
-        manifest["version"] = 1
-        manifest.pop("plan")
-        manifest.pop("assignments")
-        policy = manifest["spec"].pop("policy")
-        manifest["spec"].update(
-            jobs=policy["jobs"],
-            shard_timeout=policy["shard_timeout"],
-            max_retries=policy["max_retries"],
-        )
-        with open(os.path.join(d, MANIFEST_NAME), "w") as fh:
-            json.dump(manifest, fh)
-        for shard in manifest["completed"]:
-            path = os.path.join(d, f"shard-{shard:03d}.json")
-            with open(path) as fh:
-                payload = json.load(fh)
-            from repro.fuzzer.kcov import CoverageMap
-
-            payload["coverage"] = sorted(
-                CoverageMap.from_hex(payload["coverage"]).addrs
-            )
-            with open(path, "w") as fh:
-                json.dump(payload, fh)
-
-    def test_resume_from_v1_checkpoint(self, tmp_path):
-        d = str(tmp_path / "ckpt")
-        spec = CampaignSpec(
-            iterations=8,
-            jobs=2,
-            use_seeds=True,
-            shard_timeout=5.0,
-            checkpoint_dir=d,
-            checkpoint_every=2,
-            max_retries=0,
-        )
-        clean = run_supervised(spec)
-        first = run_supervised(
-            spec, faults=(FaultPlan(shard=1, iteration=1, kind="die"),)
-        )
-        assert [f.shard for f in first.failed_shards] == [1]
-        self._downgrade(d)
-
-        state = load_checkpoint(d)
-        assert sorted(state.completed) == [0]
-        assert state.spec.policy.jobs == 2
-
-        resumed = resume_campaign(d)
-        assert resumed.stats == clean.stats
-        assert resumed.crashes == clean.crashes
-        assert resumed.shards == clean.shards
-        assert resumed.failed_shards == ()
-
-
 class TestManifestV2:
     def test_manifest_records_plan_and_assignments(self, tmp_path):
         d = str(tmp_path / "ckpt")
@@ -265,3 +155,32 @@ class TestManifestV2:
         assert ran == {b.index for b in plan}
         assert all(a["attempt"] == 0 for a in manifest["assignments"])
 
+    def test_spec_dict_nests_policy(self):
+        spec = pooled_spec()
+        payload = spec_to_dict(spec)
+        assert payload["policy"] == {
+            "jobs": 2,
+            "batch_size": 3,
+            "shard_timeout": 5.0,
+            "max_retries": 2,
+        }
+        assert "jobs" not in payload  # the knobs are written nested only
+        assert spec_from_dict(payload) == spec
+
+
+class TestWorkerPolicy:
+    BAD_KNOBS = (
+        dict(jobs=0),
+        dict(batch_size=0),
+        dict(shard_timeout=0.0),
+        dict(max_retries=-1),
+    )
+
+    def test_validation(self):
+        for bad in self.BAD_KNOBS:
+            with pytest.raises(ConfigError):
+                CampaignSpec(iterations=4, **bad)
+            payload = spec_to_dict(pooled_spec())
+            payload["policy"].update(bad)
+            with pytest.raises(ConfigError):
+                spec_from_dict(payload)
