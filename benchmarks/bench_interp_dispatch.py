@@ -7,10 +7,13 @@ is external):
 
 1. **Micro** — a tight uninstrumented store/load/add loop where dispatch
    is the largest possible fraction of the work, run under both engines
-   on the *same* program: the reference isinstance-chain engine and
-   pre-decoded closures (``engine="decoded"``).  Every run must return
-   the identical value — the speedup is only valid evidence if the
-   engines did the same work.  Target: decoded >= 2x reference.
+   on the *same* program.  Both engines run in the one shared loop
+   (``Interpreter.drain``) and differ only in their op table: a closure
+   over the reference isinstance chain per instruction, or pre-decoded
+   closures (``engine="decoded"``), so the arm measures per-instruction
+   dispatch inside that loop.  Every run must return the identical
+   value — the speedup is only valid evidence if the engines did the
+   same work.  Target: decoded >= 2x reference.
 
 2. **End-to-end** — a seeded ``OzzFuzzer`` campaign (the ``repro fuzz``
    workload): optimized configuration (decoded engine + snapshot reset)

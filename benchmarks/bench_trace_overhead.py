@@ -14,10 +14,12 @@ largest possible fraction of the work.  Real fuzzing workloads
 (syscalls, OEMU callbacks, oracles) only dilute the ratio further.
 
 Both arms run ``Interpreter.run`` with a step cap above the loop's step
-count.  Uncapped, an untraced decoded thread takes the tight
-``_run_decoded`` loop and never calls ``step``, so the A/B would time
-two identical loops; the cap routes every retirement through ``step``,
-and an untimed probe run per arm asserts that it did.
+count.  Uncapped, an untraced thread runs in ``Interpreter.drain`` and
+never calls ``step``, so the A/B would time two identical loops; the
+cap routes every retirement through ``step``, and an untimed probe run
+per arm asserts that it did.  Both arms are timed in process CPU time
+(``time.process_time``), which other processes on a shared host
+disturb less than wall time does.
 
 Informational numbers for the recording sinks (ring recorder, metrics)
 ride along, and everything lands in
@@ -52,9 +54,12 @@ MAX_STEPS = 2 * STEPS
 
 
 class _BaselineInterpreter(Interpreter):
-    """The shipped ``Interpreter.step`` with its trace dispatch removed
-    (decoded engine; the reference branch is never taken here).  The A
-    side of the A/B."""
+    """The shipped ``Interpreter.step`` with its trace dispatch removed,
+    on the decoded engine's op table.  The A side of the A/B."""
+
+    def __init__(self, machine) -> None:
+        super().__init__(machine)
+        assert self.engine == "decoded", "the A/B runs the decoded engine"
 
     def step(self, thread):
         if thread.finished:
@@ -66,19 +71,13 @@ class _BaselineInterpreter(Interpreter):
         thread.fuel -= 1
         thread.steps += 1
         frame = thread.frames[-1]
-        if self._codes is None:
-            raise AssertionError("the A/B runs the decoded engine")
         index = frame.index
         kcov = self._kcov
         if kcov is not None:
             kcov.on_insn(thread.thread_id, frame.function.insns[index].addr)
         ops = frame.ops
         if ops is None:
-            func = frame.function
-            ops = self._codes.get(id(func))
-            if ops is None:
-                ops = self._bound.bind_function(func)
-            frame.ops = ops
+            ops = self._enter(frame)
         try:
             advance = ops[index](thread, frame)
         except HelperRetry:
@@ -131,9 +130,9 @@ def _step_calls(make_machine) -> int:
 
 
 def _time_once(make_machine) -> float:
-    t0 = time.perf_counter()
+    t0 = time.process_time()
     result = _run(make_machine)
-    elapsed = time.perf_counter() - t0
+    elapsed = time.process_time() - t0
     assert result == EXPECTED
     return elapsed
 

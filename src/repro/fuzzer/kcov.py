@@ -45,10 +45,10 @@ class KCov:
     def thread_cover(self, thread: int) -> Set[int]:
         """The live set :meth:`on_insn` records ``thread`` into.
 
-        For the interpreter's run loops, which check :attr:`enabled` and
-        add addresses themselves instead of paying a call per
-        instruction; they fetch the set at their first record, so a
-        disabled collector still creates no entry.
+        For the interpreter's run loop (``Interpreter.drain``), which
+        checks :attr:`enabled` and adds addresses itself instead of
+        paying a call per instruction; it fetches the set at its first
+        record, so a disabled collector still creates no entry.
         """
         return self._per_thread.setdefault(thread, set())
 

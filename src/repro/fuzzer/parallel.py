@@ -221,7 +221,7 @@ def merge_shards(
     shards = sorted(shards, key=lambda s: s.shard)
     merged_counters: Dict[str, int] = {}
     for s in shards:
-        for key, value in getattr(s, "engine_counters", {}).items():
+        for key, value in s.engine_counters.items():
             merged_counters[key] = merged_counters.get(key, 0) + value
     if shards:
         stats = shards[0].stats

@@ -24,12 +24,6 @@ execution into three phases:
    (:meth:`repro.oemu.core.Oemu.bind_load` / ``bind_store``) and passes
    its own address and function on each call, so the annotation's
    ordering effect is decided here, once, rather than on every access.
-   The interpreter's run loops record kcov coverage from each function's
-   instruction-address table (built with the decode), so coverage does
-   not need per-step dispatch.  Machines with a ``deps`` tracker
-   attached fall back to the reference ``_execute`` per instruction —
-   the fast closures are for the no-``deps`` configuration the fuzzer
-   runs.
 
 3. **execute**: ``closure(thread, frame) -> bool`` with the same
    contract as ``_execute`` — the return value is the advance flag, and
@@ -39,8 +33,16 @@ execution into three phases:
    are identical instruction-for-instruction (``tests/
    test_decode_differential.py`` asserts this, including event streams).
 
-``KernelConfig(engine="reference")`` switches any kernel back to the
-reference engine.
+The engine is a choice of op table, not of loop: :class:`BoundProgram`
+binds either these closures (``decoded``) or, for the ``reference``
+engine, one closure per instruction over the unchanged
+:meth:`~repro.kir.interp.Interpreter._execute`, without decoding
+anything.  Machines with a ``deps`` tracker always take the reference
+table — the decoded closures are deps-free by design.  Either table runs
+under the same ``Interpreter.step`` and ``Interpreter.drain``, which
+record kcov coverage from each function's instruction-address table.
+``KernelConfig(engine="reference")`` switches any kernel to the
+reference table.
 """
 
 from __future__ import annotations
@@ -661,7 +663,7 @@ def decode_insn(insn: Insn, fname: str, index: int) -> OpFactory:
 class DecodedProgram:
     """Per-program factory table: ``id(function) -> [factory, ...]``,
     plus ``addrs``: ``id(function) -> [insn address, ...]``, the table
-    the interpreter's run loops record kcov coverage from.
+    the interpreter's run loop records kcov coverage from.
 
     Machine-independent; produced once per linked program (memoized via
     :func:`decode_program`) and bound lazily per machine by
@@ -693,44 +695,48 @@ def decode_program(program: Program) -> DecodedProgram:
 
 
 class BoundProgram:
-    """A decoded program bound to one machine.
+    """One machine's op table: what the interpreter executes.
 
-    ``by_func`` maps ``id(function)`` to the bound closure list and is
-    what the interpreter's step loop consults; ``addrs`` (shared with the
-    decoded program) maps it to the function's instruction addresses,
-    which the run loops record as kcov coverage.  Functions are bound on
-    first execution (most fuzzing inputs touch a small fraction of the
-    kernel).  Binding survives :meth:`Kernel.reset` — closures reference
-    only machine components that live for the machine's lifetime
-    (memory, oemu, oracles, the helpers dict), never per-run state.
+    ``by_func`` maps ``id(function)`` to the function's bound closure
+    list, one ``op(thread, frame) -> bool`` per instruction; ``addrs``
+    maps it to the function's instruction addresses, which the run loop
+    records as kcov coverage.  With ``execute`` (the interpreter's
+    reference ``_execute``) every instruction binds to a closure over it
+    and nothing is decoded; without it the decoded program's factories
+    are bound.  Functions are bound on first execution (most fuzzing
+    inputs touch a small fraction of the kernel).  Binding survives
+    :meth:`Kernel.reset` — closures reference only machine components
+    that live for the machine's lifetime (memory, oemu, oracles, the
+    helpers dict), never per-run state.
     """
 
-    def __init__(self, machine) -> None:
+    def __init__(self, machine, execute: Optional[Callable[..., bool]] = None) -> None:
         self.machine = machine
-        self.decoded = decode_program(machine.program)
+        self.execute = execute
         self.by_func: Dict[int, List[OpClosure]] = {}
-        self.addrs = self.decoded.addrs
+        self.decoded = None if execute is not None else decode_program(machine.program)
+        self.addrs: Dict[int, List[int]] = {} if self.decoded is None else self.decoded.addrs
 
     def bind_function(self, function: Function) -> List[OpClosure]:
-        m = self.machine
-        if m.deps is not None:
-            # Dependency-tracked machines take the reference path per
-            # instruction; the fast closures are deps-free by design.
-            execute = m.interp._execute
+        key = id(function)
+        execute = self.execute
+        if execute is not None:
             ops: List[OpClosure] = [
                 (lambda thread, frame, _i=insn: execute(thread, frame, _i))
                 for insn in function.insns
             ]
         else:
-            factories = self.decoded.factories.get(id(function))
+            factories = self.decoded.factories.get(key)
             if factories is None:  # function added after decode (tests)
                 factories = [
                     decode_insn(insn, function.name, i)
                     for i, insn in enumerate(function.insns)
                 ]
-                self.addrs[id(function)] = [insn.addr for insn in function.insns]
+            m = self.machine
             ops = [factory(m) for factory in factories]
-        self.by_func[id(function)] = ops
+        if key not in self.addrs:
+            self.addrs[key] = [insn.addr for insn in function.insns]
+        self.by_func[key] = ops
         from repro.oemu.profiler import ENGINE_COUNTERS
 
         ENGINE_COUNTERS.functions_bound += 1

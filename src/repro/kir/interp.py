@@ -35,6 +35,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.config import check_engine
 from repro.errors import ExecutionLimitExceeded, KirError
+from repro.kir.decode import BoundProgram
 from repro.kir.function import Function, Program
 from repro.kir.insn import (
     AtomicOp,
@@ -83,8 +84,8 @@ class Frame:
     index: int = 0
     regs: Dict[str, int] = field(default_factory=dict)
     ret_dst: Optional[Reg] = None  # where the caller wants the return value
-    #: Decoded-dispatch cache: this function's bound closures, filled in
-    #: by the interpreter on the frame's first step (never serialized).
+    #: This function's bound op table, set by the interpreter on frame
+    #: entry (never serialized).
     ops: Optional[list] = field(default=None, repr=False, compare=False)
 
 
@@ -132,17 +133,18 @@ class ThreadCtx:
 class Interpreter:
     """Stepwise executor over a machine.
 
-    The ``engine`` decides what the step loop runs: ``reference``
-    dispatches through :meth:`_execute` (kept verbatim as the
-    differential-test oracle), ``decoded`` runs pre-compiled closures
-    from :mod:`repro.kir.decode`.  A machine with a dependency tracker
-    always runs ``reference``: the decoded closures are deps-free by
-    design.  On the run-to-completion path (:meth:`run` with no step
-    cap and no active trace sink) the decoded closures run in a tight
-    loop that records kcov coverage itself, per instruction and before
-    the instruction runs, exactly as :meth:`step` does.  Only a trace
-    sink, a step cap or a scheduler breakpoint force :meth:`step`, so
-    the Step stream is emitted from one place.
+    The ``engine`` picks the op table, not the loop: ``decoded`` binds
+    the pre-compiled closures of :mod:`repro.kir.decode`, ``reference``
+    binds one closure per instruction over :meth:`_execute` (kept
+    verbatim as the differential-test oracle).  A machine with a
+    dependency tracker always runs ``reference``: the decoded closures
+    are deps-free by design.  Either table runs under the same two
+    bodies: :meth:`step` retires one instruction, and :meth:`drain` runs
+    a thread to completion in a tight loop that records kcov coverage
+    itself, per instruction and before the instruction runs, exactly as
+    :meth:`step` does.  Only a trace sink, a step cap or a scheduler
+    breakpoint force :meth:`step`, so the Step stream is emitted from
+    one place.
 
     Per-step machine attributes (``kcov``, ``trace``) are hoisted into
     the interpreter and refreshed by :meth:`rebind`, which the machine
@@ -156,13 +158,9 @@ class Interpreter:
         if getattr(machine, "deps", None) is not None:
             engine = "reference"
         self.engine = engine
-        self._bound = None
-        self._codes = None
-        if engine == "decoded":
-            from repro.kir.decode import BoundProgram
-
-            self._bound = BoundProgram(machine)
-            self._codes = self._bound.by_func
+        self._bound = BoundProgram(
+            machine, execute=self._execute if engine == "reference" else None
+        )
         self.rebind()
 
     def rebind(self) -> None:
@@ -170,7 +168,7 @@ class Interpreter:
 
         Must be called after swapping ``machine.trace`` / ``machine.kcov``
         (the machine's property setters do) so the hoisted copies do not
-        go stale.  Decoded closures themselves never need re-binding:
+        go stale.  Bound closures themselves never need re-binding:
         they reference only machine components that live as long as the
         machine (memory, oemu, oracles, the helpers dict).
         """
@@ -180,12 +178,12 @@ class Interpreter:
         self._trace = NULL_SINK if trace is None else trace
 
     @property
-    def untraced_decoded(self) -> bool:
-        """True when the decoded engine is active and no trace sink needs
-        a Step event per retired instruction.  Such a thread may run on a
-        tight loop instead of :meth:`step` (kcov rides along in the loop);
-        a step cap or a breakpoint is the caller's own reason to step."""
-        return self._codes is not None and not self._trace.active
+    def untraced(self) -> bool:
+        """True when no trace sink needs a Step event per retired
+        instruction.  Such a thread may run on :meth:`drain` instead of
+        :meth:`step` (kcov rides along in the loop); a step cap or a
+        breakpoint is the caller's own reason to step."""
+        return not self._trace.active
 
     # -- public API -----------------------------------------------------------
 
@@ -194,6 +192,15 @@ class Interpreter:
         thread.call(self.machine.program.function(func_name), args)
         return thread
 
+    def _enter(self, frame: Frame) -> list:
+        """Bind ``frame`` to its function's op table on frame entry."""
+        func = frame.function
+        ops = self._bound.by_func.get(id(func))
+        if ops is None:
+            ops = self._bound.bind_function(func)
+        frame.ops = ops
+        return ops
+
     def step(self, thread: ThreadCtx) -> bool:
         """Execute one instruction; returns True while the thread runs.
 
@@ -201,34 +208,16 @@ class Interpreter:
         every instruction that retires emits exactly one
         :class:`~repro.trace.events.Step` event through the machine's
         trace sink (skipped entirely when the no-op sink is attached).
+        The ``Insn`` object is only touched when an observer (kcov / an
+        active trace sink) needs its address.
         """
         if thread.finished:
             return False
         if thread.fuel <= 0:
-            raise ExecutionLimitExceeded(
-                f"thread {thread.thread_id} exceeded fuel in {thread.current_function}"
-            )
+            raise _fuel_exhausted(thread)
         thread.fuel -= 1
         thread.steps += 1
         frame = thread.frames[-1]
-        if self._codes is None:
-            # Reference engine: isinstance dispatch over the Insn object.
-            insn = frame.function.insns[frame.index]
-            kcov = self._kcov
-            if kcov is not None:
-                kcov.on_insn(thread.thread_id, insn.addr)
-            try:
-                advance = self._execute(thread, frame, insn)
-            except HelperRetry:
-                return True  # same pc next step; the insn did not retire
-            if advance and not thread.finished and thread.frames and thread.frames[-1] is frame:
-                frame.index += 1
-            trace = self._trace
-            if trace.active:
-                trace.emit(Step(thread.thread_id, insn.addr))
-            return not thread.finished
-        # Decoded engine: the Insn object is only touched when an
-        # observer (kcov / trace sink) needs its address.
         index = frame.index
         addr = None
         kcov = self._kcov
@@ -237,11 +226,7 @@ class Interpreter:
             kcov.on_insn(thread.thread_id, addr)
         ops = frame.ops
         if ops is None:
-            func = frame.function
-            ops = self._codes.get(id(func))
-            if ops is None:
-                ops = self._bound.bind_function(func)
-            frame.ops = ops
+            ops = self._enter(frame)
         try:
             advance = ops[index](thread, frame)
         except HelperRetry:
@@ -257,11 +242,11 @@ class Interpreter:
 
     def run(self, thread: ThreadCtx, max_steps: Optional[int] = None) -> int:
         """Run a thread to completion; returns its return value."""
-        if max_steps is None and self.untraced_decoded:
+        if max_steps is None and self.untraced:
             # No trace sink wants a Step per retirement and there is no
             # step cap, so the per-step dispatch through step() is pure
-            # overhead — run the decoded closures in a tight loop instead.
-            return self._run_decoded(thread)
+            # overhead.
+            return self.drain(thread)
         steps = 0
         step = self.step  # hoisted: one bound-method lookup per run
         while step(thread):
@@ -272,8 +257,8 @@ class Interpreter:
                 )
         return thread.retval
 
-    def _run_decoded(self, thread: ThreadCtx) -> int:
-        """Run-to-completion inner loop over the decoded closures.
+    def drain(self, thread: ThreadCtx, budget: Optional[int] = None, spin_limit: Optional[int] = None) -> int:
+        """Run ``thread`` to completion in one loop; returns its value.
 
         Equivalent to ``while self.step(thread): pass`` when no trace sink
         is active: fuel/step accounting, kcov coverage (recorded after the
@@ -282,30 +267,42 @@ class Interpreter:
         frame switching, and :class:`HelperRetry` behave identically —
         only the per-step attribute re-checks and the method-call
         boundary are hoisted out.
+
+        The scheduler's drain passes its limits; :meth:`run` passes
+        neither.  ``budget`` raises once the thread has run more than
+        that many steps here, HelperRetry non-retirements included, after
+        the step that overruns it (a thread that finishes on step
+        ``budget + 1`` still raises).  ``spin_limit`` raises once more
+        than that many consecutive steps left the pc where it was.  Only
+        a step that does not advance can do that — a HelperRetry, or a
+        taken branch or jump to its own index — so only such a step is
+        counted, and a frame switch breaks the run.
         """
-        codes = self._codes
-        bound = self._bound
         frames = thread.frames
+        addr_tables = self._bound.addrs
         kcov = self._kcov
         cover = None  # the thread's kcov set, fetched at its first record
         addrs = None
+        # Every step charges one fuel, so the step that overruns the
+        # budget is the one entered with ``fuel_floor`` fuel left: the
+        # fuel check catches both limits in one compare.
+        fuel_floor = 0 if budget is None else max(0, thread.fuel - budget)
+        spins = 0
+        last_spin = -1  # thread.steps of the latest step that stayed put
         while not thread.finished:
             frame = frames[-1]
             ops = frame.ops
             if ops is None:
-                func = frame.function
-                ops = codes.get(id(func))
-                if ops is None:
-                    ops = bound.bind_function(func)
-                frame.ops = ops
+                ops = self._enter(frame)
             if kcov is not None:
-                addrs = bound.addrs[id(frame.function)]
+                addrs = addr_tables[id(frame.function)]
             # Stay in this frame until a call/ret swaps the top of stack.
             while True:
-                if thread.fuel <= 0:
-                    raise ExecutionLimitExceeded(
-                        f"thread {thread.thread_id} exceeded fuel in {thread.current_function}"
-                    )
+                if thread.fuel <= fuel_floor:
+                    if thread.fuel <= 0:
+                        raise _fuel_exhausted(thread)
+                    self.step(thread)
+                    raise budget_exceeded(thread)
                 thread.fuel -= 1
                 thread.steps += 1
                 index = frame.index
@@ -316,13 +313,19 @@ class Interpreter:
                 try:
                     advance = ops[index](thread, frame)
                 except HelperRetry:
-                    continue  # same pc next step; the insn did not retire
+                    advance = False  # same pc next step; the insn did not retire
                 if thread.finished:
                     return thread.retval
                 if frames[-1] is not frame:
                     break  # call/ret: re-enter outer loop with new frame
                 if advance:
                     frame.index = index + 1
+                elif frame.index == index and spin_limit is not None:
+                    steps = thread.steps
+                    spins = spins + 1 if last_spin == steps - 1 else 1
+                    last_spin = steps
+                    if spins > spin_limit:
+                        raise spin_exceeded(thread)
         return thread.retval
 
     def call_function(self, func_name: str, args: Tuple[int, ...] = (), *, thread_id: int = 0, cpu: int = 0) -> int:
@@ -500,6 +503,25 @@ class Interpreter:
         except MemoryFault as fault:
             m.fault_oracle.on_fault(fault, thread.current_function, insn.addr)
         m.kasan.check_access(addr, size, is_write, thread.current_function, insn.addr)
+
+
+def _fuel_exhausted(thread: ThreadCtx) -> ExecutionLimitExceeded:
+    return ExecutionLimitExceeded(
+        f"thread {thread.thread_id} exceeded fuel in {thread.current_function}"
+    )
+
+
+def budget_exceeded(thread: ThreadCtx) -> ExecutionLimitExceeded:
+    """The scheduler's step budget ran out (see :meth:`Interpreter.drain`)."""
+    return ExecutionLimitExceeded(f"thread {thread.thread_id} exceeded scheduler budget")
+
+
+def spin_exceeded(thread: ThreadCtx) -> ExecutionLimitExceeded:
+    """The thread stayed at one pc past the scheduler's spin limit."""
+    return ExecutionLimitExceeded(
+        f"thread {thread.thread_id} spinning at "
+        f"{thread.current_function} (deadlocked schedule)"
+    )
 
 
 def _missing_atomic_ret(func_name: str, index: int, op: AtomicOp, dst: str) -> KirError:

@@ -195,8 +195,9 @@ class EngineCounters:
 
     Counts what the PR-4 engine optimizations actually did: kernel boots
     vs snapshot resets (how much boot work reuse saved), pages restored
-    by dirty-tracking restores, functions bound to decoded closures, and
-    decode-cache hits (programs whose decode pass was shared).  Purely
+    by dirty-tracking restores, functions bound to an op table (either
+    engine), and decode-cache hits (programs whose decode pass was
+    shared).  Purely
     observational — never consulted by execution — and reported by the
     dispatch benchmark alongside its timing numbers.
     """
@@ -222,12 +223,6 @@ class EngineCounters:
         """
         now = self.snapshot()
         return {k: now[k] - baseline.get(k, 0) for k in now}
-
-    def merge(self, other: Dict[str, int]) -> None:
-        """Accumulate a delta dict (e.g. a shard's) into this counter set."""
-        for key, value in other.items():
-            if hasattr(self, key):
-                setattr(self, key, getattr(self, key) + value)
 
     def reset(self) -> None:
         for f in fields(self):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.errors import ExecutionLimitExceeded
-from repro.kir.interp import HelperRetry, Interpreter, ThreadCtx
+from repro.kir.interp import Interpreter, ThreadCtx, budget_exceeded, spin_exceeded
 from repro.trace.events import BreakpointHit
 
 
@@ -75,15 +75,16 @@ class CustomScheduler:
         With no breakpoint, runs to completion.  Raises
         :class:`ExecutionLimitExceeded` if the step budget is blown or
         the thread spins in place (a lock that can never be released
-        under this schedule).
+        under this schedule).  With neither a breakpoint nor an active
+        trace sink the thread drains in :meth:`Interpreter.drain`, which
+        applies the same budget and spin limit; otherwise it runs one
+        :meth:`Interpreter.step` at a time and the limits are checked
+        here.
         """
         interp = self.interp
-        if breakpoint is None and interp.untraced_decoded:
-            # No breakpoint to watch for and no trace sink wants a Step
-            # per retirement: the drain phase can run decoded closures
-            # directly instead of paying the step() boundary per
-            # instruction (kcov is recorded in the loop).
-            return self._run_fast(thread)
+        if breakpoint is None and interp.untraced:
+            interp.drain(thread, self.max_steps, self.SPIN_LIMIT)
+            return StopReason.FINISHED
         steps = 0
         spin = 0
         last_pc = None
@@ -98,10 +99,7 @@ class CustomScheduler:
             if pc == last_pc:
                 spin += 1
                 if spin > self.SPIN_LIMIT:
-                    raise ExecutionLimitExceeded(
-                        f"thread {thread.thread_id} spinning at "
-                        f"{thread.current_function} (deadlocked schedule)"
-                    )
+                    raise spin_exceeded(thread)
             else:
                 spin = 0
                 last_pc = pc
@@ -117,9 +115,7 @@ class CustomScheduler:
             step(thread)
             steps += 1
             if steps > self.max_steps:
-                raise ExecutionLimitExceeded(
-                    f"thread {thread.thread_id} exceeded scheduler budget"
-                )
+                raise budget_exceeded(thread)
             if (
                 breakpoint is not None
                 and breakpoint.policy is BreakPolicy.AFTER
@@ -129,85 +125,6 @@ class CustomScheduler:
                 if breakpoint._count >= breakpoint.hit:
                     self._note_breakpoint(thread, breakpoint)
                     return StopReason.BREAKPOINT
-        return StopReason.FINISHED
-
-    def _run_fast(self, thread: ThreadCtx) -> StopReason:
-        """Breakpoint-free drain loop over decoded closures.
-
-        Semantically identical to the general ``run_until(thread, None)``
-        loop: same fuel accounting, same scheduler step budget (counting
-        :class:`HelperRetry` non-retirements, as ``step`` returning True
-        does), and same spin detection.  The pc-equality spin check
-        reduces to index equality within a frame — two consecutive steps
-        can only share a pc when neither was a call or a ret, i.e. when
-        they ran in the same frame — so the counter resets on every
-        frame switch exactly as a depth change resets ``last_pc``.  Kcov
-        coverage is recorded as :meth:`Interpreter._run_decoded` does it:
-        after the fuel charge, before the instruction runs.
-        """
-        interp = self.interp
-        codes = interp._codes
-        bound = interp._bound
-        kcov = interp._kcov
-        cover = None  # the thread's kcov set, fetched at its first record
-        addrs = None
-        frames = thread.frames
-        max_steps = self.max_steps
-        spin_limit = self.SPIN_LIMIT
-        steps = 0
-        while not thread.finished:
-            frame = frames[-1]
-            ops = frame.ops
-            if ops is None:
-                func = frame.function
-                ops = codes.get(id(func))
-                if ops is None:
-                    ops = bound.bind_function(func)
-                frame.ops = ops
-            if kcov is not None:
-                addrs = bound.addrs[id(frame.function)]
-            spin = 0
-            last_index = -1
-            # Stay in this frame until a call/ret swaps the top of stack.
-            while True:
-                index = frame.index
-                if index == last_index:
-                    spin += 1
-                    if spin > spin_limit:
-                        raise ExecutionLimitExceeded(
-                            f"thread {thread.thread_id} spinning at "
-                            f"{thread.current_function} (deadlocked schedule)"
-                        )
-                else:
-                    spin = 0
-                    last_index = index
-                if thread.fuel <= 0:
-                    raise ExecutionLimitExceeded(
-                        f"thread {thread.thread_id} exceeded fuel in {thread.current_function}"
-                    )
-                thread.fuel -= 1
-                thread.steps += 1
-                if kcov is not None and kcov.enabled:
-                    if cover is None:
-                        cover = kcov.thread_cover(thread.thread_id)
-                    cover.add(addrs[index])
-                try:
-                    advance = ops[index](thread, frame)
-                except HelperRetry:
-                    advance = None  # same pc next step; the insn did not retire
-                steps += 1
-                if steps > max_steps:
-                    raise ExecutionLimitExceeded(
-                        f"thread {thread.thread_id} exceeded scheduler budget"
-                    )
-                if advance is None:
-                    continue
-                if thread.finished:
-                    return StopReason.FINISHED
-                if frames[-1] is not frame:
-                    break
-                if advance:
-                    frame.index = index + 1
         return StopReason.FINISHED
 
     def _note_breakpoint(self, thread: ThreadCtx, breakpoint: Breakpoint) -> None:

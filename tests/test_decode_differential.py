@@ -14,7 +14,7 @@ import os
 
 import pytest
 
-from repro.config import KernelConfig
+from repro.config import ENGINES, KernelConfig
 from repro.errors import ExecutionLimitExceeded, KernelCrash
 from repro.fuzzer import sti as sti_module
 from repro.fuzzer.fuzzer import OzzFuzzer
@@ -31,6 +31,7 @@ from repro.machine import Machine
 from repro.oemu.instrument import instrument_program
 from repro.oemu.profiler import Profiler
 from repro.sched.scheduler import CustomScheduler
+from repro.trace.metrics import TraceMetrics
 from repro.trace.recorder import TraceRecorder
 from repro.trace.replayer import CrashArtifact, replay_artifact
 
@@ -139,13 +140,20 @@ OBSERVED_CASES = {
 }
 
 
-def _profile_keeping_threads(image, case):
+def _profile_keeping_threads(image, case, stepped=False):
     """``profile_sti`` on a fresh kernel prepared by the case's setup,
     keeping the kernel and every syscall thread it spawned, so fuel,
-    steps and kcov of the call that threw can be compared too."""
+    steps and kcov of the call that threw can be compared too.
+
+    ``stepped`` attaches an active trace sink, which sends every
+    instruction through ``Interpreter.step`` instead of the drain loop
+    (the OEMU keeps its construction-time sink, so nothing else changes).
+    """
     setup, sti, _ = OBSERVED_CASES[case]
     kernel = Kernel(image, profiler=Profiler())
     setup(kernel)
+    if stepped:
+        kernel.trace = TraceMetrics()
     threads = []
     spawn = kernel.spawn_syscall
 
@@ -155,7 +163,10 @@ def _profile_keeping_threads(image, case):
         return thread
 
     kernel.spawn_syscall = spawn_and_keep
-    return profile_sti(image, sti, kernel=kernel), kernel, threads
+    result = profile_sti(image, sti, kernel=kernel)
+    if stepped:
+        assert kernel.trace.events_by_kind["step"] > 0
+    return result, kernel, threads
 
 
 class _DisabledKCov(KCov):
@@ -164,60 +175,71 @@ class _DisabledKCov(KCov):
         self.enabled = False
 
 
+#: (engine, stepped) for every way a thread can run: the drain loop and
+#: per-instruction ``step`` on each engine's op table.
+ARMS = [(engine, stepped) for engine in ENGINES for stepped in (False, True)]
+
+
 class TestObservedPathParity:
-    """Profiled STIs with kcov attached run on the decoded tight loop;
-    the result must be the reference engine's, down to the instruction
-    at which fuel ran out and the coverage of the call that threw."""
+    """Profiled STIs with kcov attached run on the drain loop; the result
+    must be what per-instruction ``step`` gives, on either engine, down to
+    the instruction at which fuel ran out and the coverage of the call
+    that threw."""
 
     @staticmethod
-    def _assert_same(decoded_image, reference_image, case):
-        dec, dec_kernel, dec_threads = _profile_keeping_threads(decoded_image, case)
-        ref, ref_kernel, ref_threads = _profile_keeping_threads(reference_image, case)
-        title = OBSERVED_CASES[case][2]
-        assert dec.crash is not None and dec.crash.title == title
-        assert ref.crash is not None and ref.crash.title == title
-        assert dec.retvals == ref.retvals
-        assert dec.coverage == ref.coverage
-        assert len(dec.profiles) == len(ref.profiles) == len(dec_threads) - 1
-        for p_dec, p_ref in zip(dec.profiles, ref.profiles):
-            assert p_dec.coverage == p_ref.coverage
-            assert p_dec.events == p_ref.events
-        assert [(t.thread_id, t.steps, t.fuel) for t in dec_threads] == [
-            (t.thread_id, t.steps, t.fuel) for t in ref_threads
+    def _assert_same(request, case):
+        runs = [
+            _profile_keeping_threads(request.getfixturevalue(f"{engine}_image"), case, stepped)
+            for engine, stepped in ARMS
         ]
-        for t in dec_threads:
-            assert dec_kernel.kcov.coverage_of(t.thread_id) == (
-                ref_kernel.kcov.coverage_of(t.thread_id)
-            )
-        return dec, dec_kernel, dec_threads
+        title = OBSERVED_CASES[case][2]
+        first, first_kernel, first_threads = runs[0]
+        for arm, (res, kernel, threads) in zip(ARMS, runs):
+            assert res.crash is not None and res.crash.title == title, arm
+            assert res.retvals == first.retvals, arm
+            assert res.coverage == first.coverage, arm
+            assert len(res.profiles) == len(first.profiles) == len(threads) - 1, arm
+            for p, p_first in zip(res.profiles, first.profiles):
+                assert p.coverage == p_first.coverage, arm
+                assert p.events == p_first.events, arm
+            assert [(t.thread_id, t.steps, t.fuel) for t in threads] == [
+                (t.thread_id, t.steps, t.fuel) for t in first_threads
+            ], arm
+            for t, t_first in zip(threads, first_threads):
+                assert kernel.kcov.coverage_of(t.thread_id) == (
+                    first_kernel.kcov.coverage_of(t_first.thread_id)
+                ), arm
+        return first, first_kernel, first_threads
 
     @pytest.mark.parametrize("case", sorted(OBSERVED_CASES))
-    def test_profile_identical(self, decoded_image, reference_image, case):
-        dec, kernel, threads = self._assert_same(decoded_image, reference_image, case)
+    def test_profile_identical(self, request, case):
+        dec, kernel, threads = self._assert_same(request, case)
         thrown = threads[-1]
         assert kernel.kcov.coverage_of(thrown.thread_id)
         if dec.crash.oracle == "hang":
             assert (thrown.steps, thrown.fuel) == (DEFAULT_FUEL, 0)
 
     @pytest.mark.parametrize("case", sorted(OBSERVED_CASES))
-    def test_profile_identical_with_kcov_disabled(
-        self, decoded_image, reference_image, case, monkeypatch
-    ):
+    def test_profile_identical_with_kcov_disabled(self, request, case, monkeypatch):
         monkeypatch.setattr(sti_module, "KCov", _DisabledKCov)
-        dec, kernel, threads = self._assert_same(decoded_image, reference_image, case)
+        dec, kernel, threads = self._assert_same(request, case)
         assert dec.coverage == frozenset()
         assert all(not kernel.kcov.coverage_of(t.thread_id) for t in threads)
 
     @pytest.mark.parametrize("case", sorted(OBSERVED_CASES))
-    def test_scheduler_drain_identical(self, decoded_image, reference_image, case):
-        """The scheduler's breakpoint-free drain records kcov in its own
-        loop too: same coverage, steps, fuel and verdict per call."""
+    def test_scheduler_drain_identical(self, request, case):
+        """The scheduler's breakpoint-free drain (the interpreter's loop
+        under the scheduler's budget and spin limit) and its stepped path
+        give the same coverage, steps, fuel and verdict per call, on
+        either engine."""
 
-        def drain(image):
+        def drain(engine, stepped):
             setup, sti, _ = OBSERVED_CASES[case]
-            kernel = Kernel(image)
+            kernel = Kernel(request.getfixturevalue(f"{engine}_image"))
             setup(kernel)
             kernel.kcov = KCov()
+            if stepped:
+                kernel.trace = TraceMetrics()
             sched = CustomScheduler(kernel.interp)
             retvals, seen = [], []
             for call in sti.calls:
@@ -236,23 +258,28 @@ class TestObservedPathParity:
                     kernel.kcov.coverage_of(thread.thread_id),
                 ))
                 if verdict is not None:
-                    return seen
+                    break
+            if stepped:
+                assert kernel.trace.events_by_kind["step"] > 0
             return seen
 
-        dec = drain(decoded_image)
-        assert dec == drain(reference_image)
+        dec = drain("decoded", False)
+        for arm in ARMS[1:]:
+            assert drain(*arm) == dec, arm
         assert dec[-1][0] is not None and dec[-1][3]
 
     @pytest.mark.parametrize("case", sorted(OBSERVED_CASES))
-    def test_decoded_profiling_never_steps(self, decoded_image, case, monkeypatch):
-        """Structural guard: kcov alone must not send the decoded engine
-        back to per-step dispatch."""
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_profiling_never_steps(self, request, engine, case, monkeypatch):
+        """Structural guard: kcov alone must not send either engine back
+        to per-step dispatch."""
 
         def no_step(self, thread):
             raise AssertionError("profiled STI fell back to Interpreter.step")
 
         monkeypatch.setattr(Interpreter, "step", no_step)
-        result, _, _ = _profile_keeping_threads(decoded_image, case)
+        image = request.getfixturevalue(f"{engine}_image")
+        result, _, _ = _profile_keeping_threads(image, case)
         assert result.crash.title == OBSERVED_CASES[case][2]
 
 

@@ -14,12 +14,13 @@ from repro.config import ENGINES, KernelConfig, check_engine
 from repro.errors import ConfigError
 from repro.fuzzer.fuzzer import FuzzStats
 from repro.fuzzer.kcov import CoverageMap
-from repro.fuzzer.parallel import ShardResult
+from repro.fuzzer.parallel import ShardResult, merge_shards
 from repro.fuzzer.triage import CrashDB
 from repro.kir import Builder, Program
 from repro.machine import Machine
 from repro.mem.memory import DATA_BASE
-from repro.oemu.profiler import EngineCounters
+from repro.kir import decode
+from repro.oemu.profiler import ENGINE_COUNTERS, EngineCounters
 
 
 def _loop_program() -> Program:
@@ -55,9 +56,16 @@ class TestNormalization:
 
 class TestResolution:
     def test_pin_reference_overrides_requested(self):
-        m = Machine(_loop_program(), track_deps=True, engine="decoded")
+        program = _loop_program()
+        before = ENGINE_COUNTERS.snapshot()
+        m = Machine(program, track_deps=True, engine="decoded")
         assert m.engine == "reference"
-        assert m.interp._codes is None  # no decode tables built
+        assert m.interp.run(m.interp.spawn("spin", (5,))) == sum(range(5))
+        # The reference op table closes over _execute: nothing decoded.
+        delta = ENGINE_COUNTERS.diff(before)
+        assert getattr(program, decode._CACHE_ATTR, None) is None
+        assert delta["decode_cache_hits"] == 0
+        assert delta["functions_bound"] == 1
 
     def test_deps_machine_pins_to_reference(self):
         """Dependency tracking only exists on the reference engine; a
@@ -83,15 +91,22 @@ class TestCounters:
         assert delta["boots"] == 2
         assert delta["prefix_hits"] == 1
         assert delta["resets"] == 0
+        c.reset()
+        assert set(c.snapshot().values()) == {0}
 
-    def test_merge_sums_fields(self):
-        a = EngineCounters()
-        a.decode_cache_hits = 3
-        a.merge({"decode_cache_hits": 4, "resets": 1, "not_a_field": 9})
-        assert a.decode_cache_hits == 7
-        assert a.resets == 1
-        a.reset()
-        assert set(a.snapshot().values()) == {0}
+    def test_merge_shards_sums_counter_deltas(self):
+        def shard(k, counters):
+            return ShardResult(
+                shard=k, seed=1, iterations=1, stats=FuzzStats(),
+                crashdb=CrashDB(), coverage=CoverageMap(), seconds=0.1,
+                engine_counters=counters,
+            )
+
+        result = merge_shards(CampaignSpec(iterations=2), [
+            shard(1, {"boots": 2, "prefix_hits": 3}),
+            shard(0, {"boots": 1, "resets": 4}),
+        ], seconds=0.2)
+        assert result.engine_counters == {"boots": 3, "resets": 4, "prefix_hits": 3}
 
 
 class TestConfigRoundTrip:

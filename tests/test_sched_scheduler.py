@@ -3,10 +3,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.config import ENGINES
 from repro.errors import ExecutionLimitExceeded
 from repro.kir import Builder, Program
 from repro.kir.insn import Store
+from repro.kir.interp import HelperRetry
 from repro.machine import Machine
 from repro.mem.memory import DATA_BASE
 from repro.oemu.instrument import instrument_program
@@ -133,6 +136,125 @@ class TestSpinDetection:
         sched = CustomScheduler(m.interp)
         t = m.spawn("count", (2000,))
         assert sched.run_to_completion(t) is StopReason.FINISHED
+
+
+SPIN_LIMIT = CustomScheduler.SPIN_LIMIT
+NEVER = Breakpoint(0xDEAD_0000, BreakPolicy.AFTER)  # stepped, never stops
+
+
+def retry_program():
+    """``main`` loops a few times, takes a lock, calls ``sub`` (a frame
+    switch) and takes the lock again.  Each take spins in place through
+    a given number of HelperRetry steps before the lock is released."""
+    b = Builder("main")
+    b.mov(0, dst="i")
+    top = b.label()
+    b.bind(top)
+    b.add("i", 1, dst="i")
+    b.blt("i", 4, top)
+    b.helper_void("take")
+    b.call_void("sub")
+    b.helper_void("take")
+    b.ret("i")
+    sub = Builder("sub")
+    sub.store(X, 0, 7)
+    sub.ret()
+    return Program([b.function(), sub.function()])
+
+
+def self_jump_program():
+    b = Builder("main")
+    b.mov(0, dst="i")
+    here = b.label()
+    b.bind(here)
+    b.jmp(here)
+    return Program([b.function()])
+
+
+def run_both_ways(engine, program, *, fuel, max_steps=60_000, retries=0):
+    """Run the same thread on the scheduler's drain and on its stepped
+    path; both must give the same outcome, steps, fuel and end state."""
+    seen = []
+    for breakpoint in (None, NEVER):
+        m = Machine(program, engine=engine)
+        spun = [0]
+
+        def take(machine, thread):
+            if spun[0] < retries:
+                spun[0] += 1
+                raise HelperRetry
+            spun[0] = 0
+
+        m.register_helper("take", take)
+        t = m.interp.spawn("main", thread_id=m.new_thread_id(), fuel=fuel)
+        try:
+            outcome = CustomScheduler(m.interp, max_steps).run_until(t, breakpoint)
+        except ExecutionLimitExceeded as exc:
+            outcome = str(exc)
+        seen.append((outcome, t.steps, t.fuel, t.finished, t.retval))
+    assert seen[0] == seen[1]
+    return seen[0]
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+class TestDrainEdges:
+    """The drain runs in the interpreter's loop; its budget and spin
+    edges must fall on the same step as the stepped path's."""
+
+    def test_budget_edge(self, engine):
+        b = Builder("main")  # three steps: store, store, ret
+        b.store(X, 0, 1)
+        b.store(Y, 0, 2)
+        b.ret()
+        prog = Program([b.function()])
+        assert run_both_ways(engine, prog, fuel=100, max_steps=3) == (
+            StopReason.FINISHED, 3, 97, True, 0
+        )
+        # Finishing on step max_steps + 1 still blows the budget.
+        outcome, *rest = run_both_ways(engine, prog, fuel=100, max_steps=2)
+        assert outcome == "thread 1 exceeded scheduler budget"
+        assert rest == [3, 97, True, 0]
+
+    def test_helper_retry_spin_edge(self, engine):
+        prog = retry_program()
+        # main: mov, 4 x (add, blt), take, call, take, ret; sub: store, ret.
+        straight = 1 + 8 + 1 + 1 + 1 + 1 + 2
+        done = run_both_ways(engine, prog, fuel=10_000, retries=SPIN_LIMIT)
+        spins = 2 * SPIN_LIMIT  # two separate runs, neither over the limit
+        assert done == (StopReason.FINISHED, straight + spins, 10_000 - straight - spins, True, 4)
+        outcome, steps, *_ = run_both_ways(engine, prog, fuel=10_000, retries=SPIN_LIMIT + 1)
+        assert "spinning at main" in outcome
+        assert steps == 9 + SPIN_LIMIT + 1  # the first take's last retry raised
+
+    def test_self_jump_spin_edge(self, engine):
+        prog = self_jump_program()
+        # mov, then SPIN_LIMIT jumps to the same index: fuel runs out first.
+        outcome, steps, fuel, *_ = run_both_ways(engine, prog, fuel=SPIN_LIMIT + 1)
+        assert "exceeded fuel" in outcome and (steps, fuel) == (SPIN_LIMIT + 1, 0)
+        # One more jump in place and the spin limit trips.
+        outcome, steps, fuel, *_ = run_both_ways(engine, prog, fuel=SPIN_LIMIT + 2)
+        assert "spinning at main" in outcome and (steps, fuel) == (SPIN_LIMIT + 2, 0)
+
+    def test_jumps_that_move_are_not_a_spin(self, engine):
+        b = Builder("main")  # two jumps bouncing between each other
+        b.mov(0, dst="i")
+        ping, pong = b.label(), b.label()
+        b.bind(ping)
+        b.jmp(pong)
+        b.bind(pong)
+        b.jmp(ping)
+        prog = Program([b.function()])
+        outcome, steps, fuel, *_ = run_both_ways(engine, prog, fuel=4 * SPIN_LIMIT)
+        assert "exceeded fuel" in outcome and (steps, fuel) == (4 * SPIN_LIMIT, 0)
+
+    @given(
+        fuel=st.integers(0, 2 * SPIN_LIMIT + 40),
+        max_steps=st.integers(0, 2 * SPIN_LIMIT + 40),
+        retries=st.integers(0, SPIN_LIMIT + 8),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_drain_matches_stepped(self, engine, fuel, max_steps, retries):
+        run_both_ways(engine, retry_program(), fuel=fuel, max_steps=max_steps, retries=retries)
 
 
 class TestAlternativeSchedules:
